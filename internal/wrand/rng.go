@@ -71,12 +71,80 @@ func (s RNGState) zero() bool { return s.S0|s.S1|s.S2|s.S3 == 0 }
 // RNG is the scheduler PRNG of the simulation engines: math/rand's
 // distribution methods (Intn, Int63n, Float64, ...) over an owned
 // xoshiro256** source whose state can be exported with State and
-// reinstalled with SetState. The embedded *rand.Rand keeps the full
-// method set available; all of its state lives in the owned source (the
-// engines never call Read, the one buffered method).
+// reinstalled with SetState.
+//
+// The methods the engines' step loops call (Int63, Int31, Int63n, Int31n,
+// Intn, Float64) are defined below with math/rand's exact algorithms, so
+// they draw the same values as the *rand.Rand they shadow without its
+// rand.Source interface call per draw. The embedded *rand.Rand keeps the
+// rest of the method set (ExpFloat64, Perm, ...) available over the same
+// source; all of its state lives in the owned source (the engines never
+// call Read, the one buffered method).
 type RNG struct {
 	*rand.Rand
 	src *xoshiro
+}
+
+// Int63 returns a non-negative 63-bit integer, as rand.Rand.Int63.
+func (r *RNG) Int63() int64 { return r.src.Int63() }
+
+// Int31 returns a non-negative 31-bit integer, as rand.Rand.Int31.
+func (r *RNG) Int31() int32 { return int32(r.src.Int63() >> 32) }
+
+// Int63n returns an integer in [0, n), as rand.Rand.Int63n: a mask for a
+// power of two, otherwise rejection above the largest multiple of n. It
+// panics if n <= 0.
+func (r *RNG) Int63n(n int64) int64 {
+	if n <= 0 {
+		panic("invalid argument to Int63n")
+	}
+	if n&(n-1) == 0 {
+		return r.src.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := r.src.Int63()
+	for v > max {
+		v = r.src.Int63()
+	}
+	return v % n
+}
+
+// Int31n returns an integer in [0, n), as rand.Rand.Int31n. It panics if
+// n <= 0.
+func (r *RNG) Int31n(n int32) int32 {
+	if n <= 0 {
+		panic("invalid argument to Int31n")
+	}
+	if n&(n-1) == 0 {
+		return r.Int31() & (n - 1)
+	}
+	max := int32((1 << 31) - 1 - (1<<31)%uint32(n))
+	v := r.Int31()
+	for v > max {
+		v = r.Int31()
+	}
+	return v % n
+}
+
+// Intn returns an integer in [0, n), as rand.Rand.Intn: Int31n when n
+// fits in 31 bits, Int63n otherwise. It panics if n <= 0.
+func (r *RNG) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		return int(r.Int31n(int32(n)))
+	}
+	return int(r.Int63n(int64(n)))
+}
+
+// Float64 returns a float in [0, 1), as rand.Rand.Float64.
+func (r *RNG) Float64() float64 {
+	for {
+		if f := float64(r.src.Int63()) / (1 << 63); f != 1 {
+			return f
+		}
+	}
 }
 
 // NewRNG returns a generator deterministically seeded from seed.

@@ -128,3 +128,71 @@ func TestSetReplace(t *testing.T) {
 	}()
 	s.Replace([]int{1, 1})
 }
+
+// TestRNGMatchesMathRand pins that RNG's own draw methods reproduce
+// math/rand's algorithms exactly: an RNG and a *rand.Rand over an
+// identically seeded xoshiro source must emit the same values, method by
+// method and interleaved, for every bound class — 1, powers of two (the
+// mask path), odd bounds (the rejection path), the 31-bit edge where
+// Intn switches from Int31n to Int63n, and bounds above 2^62, where
+// rejection happens on about every other draw.
+func TestRNGMatchesMathRand(t *testing.T) {
+	bounds := []int64{
+		1, 2, 4, 1 << 10, 1 << 30, 1 << 31, 1 << 40, 1 << 62,
+		3, 7, 97, 1_000_003, 1<<31 - 1, 1<<31 + 1, 1<<53 + 1,
+		1<<62 + 1, 3 << 61, 1<<63 - 1,
+	}
+	for seed := int64(0); seed < 4; seed++ {
+		src := &xoshiro{}
+		src.Seed(seed)
+		ref := rand.New(src)
+		got := NewRNG(seed)
+		check := func(what string, n int64, g, w int64) {
+			t.Helper()
+			if g != w {
+				t.Fatalf("seed %d: %s(%d) = %d, math/rand draws %d", seed, what, n, g, w)
+			}
+		}
+		for _, n := range bounds {
+			for i := 0; i < 200; i++ {
+				check("Int63n", n, got.Int63n(n), ref.Int63n(n))
+				if int64(int(n)) == n {
+					check("Intn", n, int64(got.Intn(int(n))), int64(ref.Intn(int(n))))
+				}
+				if n <= 1<<31-1 {
+					check("Int31n", n, int64(got.Int31n(int32(n))), int64(ref.Int31n(int32(n))))
+				}
+				check("Int63", 0, got.Int63(), ref.Int63())
+				check("Int31", 0, int64(got.Int31()), int64(ref.Int31()))
+				if g, w := got.Float64(), ref.Float64(); g != w {
+					t.Fatalf("seed %d: Float64 = %v, math/rand draws %v", seed, g, w)
+				}
+			}
+		}
+		// The embedded methods (ExpFloat64 here, as the fault clock uses
+		// it) draw from the same source, so they stay in step too.
+		if g, w := got.ExpFloat64(), ref.ExpFloat64(); g != w {
+			t.Fatalf("seed %d: ExpFloat64 = %v, math/rand draws %v", seed, g, w)
+		}
+		check("Int63n after ExpFloat64", 1000, got.Int63n(1000), ref.Int63n(1000))
+	}
+}
+
+// TestRNGRejectsBadBounds pins math/rand's panics on non-positive bounds.
+func TestRNGRejectsBadBounds(t *testing.T) {
+	r := NewRNG(1)
+	for name, draw := range map[string]func(){
+		"Int63n": func() { r.Int63n(0) },
+		"Int31n": func() { r.Int31n(-1) },
+		"Intn":   func() { r.Intn(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted a non-positive bound", name)
+				}
+			}()
+			draw()
+		}()
+	}
+}

@@ -16,16 +16,28 @@ import (
 )
 
 // Fenwick is a binary indexed tree over int64 weights supporting point
-// updates, prefix sums, and weighted sampling in O(log n). Slots are indexed
-// from 0. The zero value is unusable; call NewFenwick.
+// updates, prefix sums, and weighted sampling in O(log n), with the total
+// weight kept alongside so Total is O(1). Slots are indexed from 0. The
+// zero value is unusable; call NewFenwick.
 type Fenwick struct {
-	tree []int64 // 1-based internal representation
-	n    int
+	tree  []int64 // 1-based internal representation
+	n     int
+	total int64 // sum of all weights
+	top   int   // highest power of two <= n (0 when n == 0): Sample's first step
 }
 
 // NewFenwick returns a Fenwick tree with n zero-weight slots.
 func NewFenwick(n int) *Fenwick {
-	return &Fenwick{tree: make([]int64, n+1), n: n}
+	return &Fenwick{tree: make([]int64, n+1), n: n, top: highBit(n)}
+}
+
+// highBit returns the highest power of two <= n, or 0 when n <= 0.
+func highBit(n int) int {
+	h := 0
+	for b := 1; b > 0 && b <= n; b <<= 1 {
+		h = b
+	}
+	return h
 }
 
 // Len returns the number of slots.
@@ -42,6 +54,8 @@ func (f *Fenwick) Grow(n int) {
 	}
 	f.tree = make([]int64, n+1)
 	f.n = n
+	f.top = highBit(n)
+	f.total = 0
 	for i, w := range weights {
 		if w != 0 {
 			f.Add(i, w)
@@ -62,6 +76,7 @@ func (f *Fenwick) Add(i int, delta int64) {
 	for j := i + 1; j <= f.n; j += j & (-j) {
 		f.tree[j] += delta
 	}
+	f.total += delta
 }
 
 // Set sets the weight of slot i.
@@ -78,7 +93,7 @@ func (f *Fenwick) Weight(i int) int64 {
 }
 
 // Total returns the sum of all weights.
-func (f *Fenwick) Total() int64 { return f.prefix(f.n) }
+func (f *Fenwick) Total() int64 { return f.total }
 
 // prefix returns the sum of slots [0, i).
 func (f *Fenwick) prefix(i int) int64 {
@@ -92,19 +107,14 @@ func (f *Fenwick) prefix(i int) int64 {
 // Sample draws a slot with probability proportional to its weight. It
 // reports false when the total weight is zero.
 func (f *Fenwick) Sample(r Rand) (int, bool) {
-	total := f.Total()
-	if total <= 0 {
+	if f.total <= 0 {
 		return 0, false
 	}
-	target := r.Int63n(total) // uniform in [0, total)
+	target := r.Int63n(f.total) // uniform in [0, total)
 	// Descend the implicit tree: find the first slot whose prefix sum
 	// exceeds target.
 	idx := 0
-	half := 1
-	for half*2 <= f.n {
-		half *= 2
-	}
-	for ; half > 0; half /= 2 {
+	for half := f.top; half > 0; half /= 2 {
 		next := idx + half
 		if next <= f.n && f.tree[next] <= target {
 			target -= f.tree[next]

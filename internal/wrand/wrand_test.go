@@ -281,3 +281,64 @@ func TestSetChurnProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestFenwickCachedTotal checks the running total and the single-descent
+// Sample against a plain weight array over random Add/Set/Grow sequences:
+// Total must equal the sum of the weights after every operation, and
+// Sample must pick the slot a linear prefix scan picks for the same draw.
+func TestFenwickCachedTotal(t *testing.T) {
+	r := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		f := NewFenwick(r.Intn(5))
+		model := make([]int64, f.Len())
+		for op := 0; op < 300; op++ {
+			switch k := r.Intn(10); {
+			case k == 0:
+				n := f.Len() + r.Intn(9)
+				f.Grow(n)
+				for len(model) < f.Len() {
+					model = append(model, 0)
+				}
+			case len(model) == 0:
+				continue
+			case k < 5:
+				i := r.Intn(len(model))
+				w := r.Int63n(50)
+				f.Set(i, w)
+				model[i] = w
+			default:
+				i := r.Intn(len(model))
+				d := r.Int63n(41) - 20
+				if model[i]+d < 0 {
+					d = -model[i]
+				}
+				f.Add(i, d)
+				model[i] += d
+			}
+			var sum int64
+			for _, w := range model {
+				sum += w
+			}
+			if f.Total() != sum {
+				t.Fatalf("trial %d op %d: Total = %d, weights sum to %d", trial, op, f.Total(), sum)
+			}
+			seed := r.Int63()
+			got, ok := f.Sample(NewRNG(seed))
+			if ok != (sum > 0) {
+				t.Fatalf("trial %d op %d: Sample ok = %v with total %d", trial, op, ok, sum)
+			}
+			if !ok {
+				continue
+			}
+			target := NewRNG(seed).Int63n(sum)
+			want := 0
+			for acc := model[0]; acc <= target; acc += model[want] {
+				want++
+			}
+			if got != want {
+				t.Fatalf("trial %d op %d: Sample = %d, prefix scan picks %d (weights %v)",
+					trial, op, got, want, model)
+			}
+		}
+	}
+}
