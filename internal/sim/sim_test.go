@@ -383,6 +383,79 @@ func TestFeasiblePlacementsOverlap(t *testing.T) {
 	}
 }
 
+// scanPlacements is the reference of feasiblePlacements: every aligning
+// rotation, kept when no cell of pj's component lands on a cell of pi's.
+func scanPlacements[S any](w *World[S], pi, pj PortRef) []grid.Isometry {
+	ca := w.comps[w.nodes[pi.Node].comp]
+	cb := w.comps[w.nodes[pj.Node].comp]
+	dA := w.worldDir(pi.Node, pi.Port)
+	target := w.nodes[pi.Node].pos.Step(dA)
+	dB := w.worldDir(pj.Node, pj.Port)
+	var out []grid.Isometry
+scan:
+	for _, g := range w.rotsMapping[dB][dA.Opposite()] {
+		iso := grid.Isometry{R: g, T: target.Sub(g.Apply(w.nodes[pj.Node].pos))}
+		for p := range cb.cells {
+			if _, hit := ca.cells[iso.Apply(p)]; hit {
+				continue scan
+			}
+		}
+		out = append(out, iso)
+	}
+	return out
+}
+
+// TestLoneNodePlacementsMatchScan checks the lone-node shortcut of
+// feasiblePlacements against the full collision scan: on random 2D and 3D
+// worlds mid-run, every open-port pair across two components (in both
+// orders, lone or not) must get the same placements, in the same order.
+func TestLoneNodePlacementsMatchScan(t *testing.T) {
+	for _, dim := range []int{2, 3} {
+		lone := 0
+		for seed := int64(0); seed < 8; seed++ {
+			w := New(14, churnProtocol{}, Options{Dim: dim, Seed: seed})
+			for round := 0; round < 40; round++ {
+				for i := 0; i < 25; i++ {
+					if _, err := w.Step(); err != nil {
+						t.Fatal(err)
+					}
+				}
+				slots := w.ComponentSlots()
+				for _, x := range slots {
+					for _, y := range slots {
+						ca, cb := w.comps[x], w.comps[y]
+						if x == y {
+							continue
+						}
+						if (len(ca.nodes) == 1) != (len(cb.nodes) == 1) {
+							lone++
+						}
+						for _, pi := range ca.open.Items() {
+							for _, pj := range cb.open.Items() {
+								got := append([]grid.Isometry(nil), w.feasiblePlacements(pi, pj)...)
+								want := scanPlacements(w, pi, pj)
+								if len(got) != len(want) {
+									t.Fatalf("dim %d seed %d: %v-%v: %d placements, scan finds %d",
+										dim, seed, pi, pj, len(got), len(want))
+								}
+								for k := range got {
+									if got[k] != want[k] {
+										t.Fatalf("dim %d seed %d: %v-%v: placement %d = %v, scan has %v",
+											dim, seed, pi, pj, k, got[k], want[k])
+									}
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+		if lone == 0 {
+			t.Fatalf("dim %d: no lone node met a multi-node component", dim)
+		}
+	}
+}
+
 func TestSplitReleasesParts(t *testing.T) {
 	// A 1x3 line whose middle bond is cut must split into a 2-line and a
 	// free node.

@@ -99,6 +99,14 @@ func (w *World[S]) sampleOpenPair() (PortRef, PortRef, bool) {
 // feasiblePlacements returns the isometries mapping pj's component frame
 // into pi's component frame that align the two ports at unit distance
 // without any cell collision. In 2D there is at most one; in 3D up to four.
+// Both ports must be open, as every port the scheduler samples is.
+//
+// When either component is a lone node the collision scan is skipped:
+// every aligning rotation is feasible. Placed into pi's component, pj's
+// lone node lands on the cell pi's open port faces, which is free; and
+// seen from pj's component, pi's lone node lands on the cell pj's open
+// port faces, which is free too. The placement list, and so the draw from
+// it, is exactly the one the scan would return.
 //
 // The returned slice aliases a per-world scratch buffer: it is only valid
 // until the next call (stepExhaustive copies it when it must retain
@@ -109,11 +117,12 @@ func (w *World[S]) feasiblePlacements(pi, pj PortRef) []grid.Isometry {
 	dA := w.worldDir(pi.Node, pi.Port)
 	target := w.nodes[pi.Node].pos.Step(dA)
 	dB := w.worldDir(pj.Node, pj.Port)
+	lone := len(ca.nodes) == 1 || len(cb.nodes) == 1
 
 	out := w.isoBuf[:0]
 	for _, g := range w.rotsMapping[dB][dA.Opposite()] {
 		iso := grid.Isometry{R: g, T: target.Sub(g.Apply(w.nodes[pj.Node].pos))}
-		if w.placementFree(ca, cb, iso) {
+		if lone || w.placementFree(ca, cb, iso) {
 			out = append(out, iso)
 		}
 	}
@@ -122,19 +131,21 @@ func (w *World[S]) feasiblePlacements(pi, pj PortRef) []grid.Isometry {
 }
 
 // placementFree reports whether mapping component b through iso collides
-// with component a. It iterates the smaller side.
+// with component a. It walks the smaller side's node slice and looks each
+// mapped position up in the other side's cells (ranging over a cells map
+// instead would seed a runtime random draw per call).
 func (w *World[S]) placementFree(a, b *component, iso grid.Isometry) bool {
-	if len(b.cells) <= len(a.cells) {
-		for p := range b.cells {
-			if _, hit := a.cells[iso.Apply(p)]; hit {
+	if len(b.nodes) <= len(a.nodes) {
+		for _, id := range b.nodes {
+			if _, hit := a.cells[iso.Apply(w.nodes[id].pos)]; hit {
 				return false
 			}
 		}
 		return true
 	}
 	inv := iso.Inverse()
-	for p := range a.cells {
-		if _, hit := b.cells[inv.Apply(p)]; hit {
+	for _, id := range a.nodes {
+		if _, hit := b.cells[inv.Apply(w.nodes[id].pos)]; hit {
 			return false
 		}
 	}
