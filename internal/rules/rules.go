@@ -10,6 +10,8 @@ package rules
 
 import (
 	"fmt"
+	"iter"
+	"slices"
 	"sort"
 
 	"shapesol/internal/grid"
@@ -170,7 +172,12 @@ func (t *Table) MustAddAnyEdge(a State, pa grid.Dir, b State, pb grid.Dir, na, n
 
 // Lookup resolves the interaction ((a,pa),(b,pb),edge). The returned swapped
 // flag is true when the rule matched with the operands reversed, in which
-// case Outcome.A applies to b and Outcome.B to a.
+// case Outcome.A applies to b and Outcome.B to a. A forward match wins over
+// a mirrored one.
+//
+// Lookup hashes two string-carrying keys per call; the engine interns the
+// table once instead (sim.NewTableProtocol), and Lookup remains the
+// reference that index is tested against.
 func (t *Table) Lookup(a State, pa grid.Dir, b State, pb grid.Dir, edge bool) (out Outcome, swapped, ok bool) {
 	if o, found := t.rules[key{A: Half{a, pa}, B: Half{b, pb}, Edge: edge}]; found {
 		return o, false, true
@@ -195,12 +202,21 @@ func (t *Table) States() []State {
 // Size returns |Q|.
 func (t *Table) Size() int { return len(t.states) }
 
+// All yields every rule once, in unspecified order: the O(rules) walk for
+// building derived indexes, without Rules' formatting and sorting.
+func (t *Table) All() iter.Seq[Rule] {
+	return func(yield func(Rule) bool) {
+		for k, o := range t.rules {
+			if !yield(Rule{A: k.A, B: k.B, Edge: k.Edge, Out: o}) {
+				return
+			}
+		}
+	}
+}
+
 // Rules returns all rules in deterministic order (for docs and debugging).
 func (t *Table) Rules() []Rule {
-	out := make([]Rule, 0, len(t.rules))
-	for k, o := range t.rules {
-		out = append(out, Rule{A: k.A, B: k.B, Edge: k.Edge, Out: o})
-	}
+	out := slices.Collect(t.All())
 	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }

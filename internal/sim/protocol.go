@@ -77,16 +77,60 @@ type ComponentAware[S any] interface {
 }
 
 // TableProtocol adapts a rules.Table to the Protocol interface over the
-// rules.State state type.
+// rules.State state type. The table is interned once at construction:
+// every state on a rule's left-hand side gets a dense id, and index maps
+// each (state, port, state, port, edge) slot to an outcome plus an
+// orientation flag, so an interaction costs two string-keyed map reads
+// and one slice index instead of rules.Table.Lookup's struct hashing.
 type TableProtocol struct {
 	table *rules.Table
+	ids   map[rules.State]int32
+	// index[slot(a, pa, b, pb, edge)] is 0 for no rule, else
+	// (outcome index + 1) << 1 | swapped, where swapped means the rule
+	// matched with the operands reversed (as in rules.Table.Lookup).
+	index []int32
+	outs  []rules.Outcome
 }
 
 var _ Protocol[rules.State] = (*TableProtocol)(nil)
 
-// NewTableProtocol wraps a finite rule table.
+// NewTableProtocol wraps a finite rule table, interning it in O(rules)
+// plus the zeroed index (|Q|^2 * 72 slots for the |Q| states on rules'
+// left-hand sides).
 func NewTableProtocol(t *rules.Table) *TableProtocol {
-	return &TableProtocol{table: t}
+	p := &TableProtocol{table: t, ids: make(map[rules.State]int32)}
+	intern := func(s rules.State) {
+		if _, ok := p.ids[s]; !ok {
+			p.ids[s] = int32(len(p.ids))
+		}
+	}
+	for r := range t.All() {
+		intern(r.A.State)
+		intern(r.B.State)
+	}
+	p.index = make([]int32, len(p.ids)*len(p.ids)*grid.NumDirs*grid.NumDirs*2)
+	for r := range t.All() {
+		out := int32(len(p.outs)+1) << 1
+		p.outs = append(p.outs, r.Out)
+		ia, ib := p.ids[r.A.State], p.ids[r.B.State]
+		// The forward orientation always wins; the mirrored one only
+		// fills a slot no forward rule claims, whatever the walk order.
+		p.index[p.slot(ia, r.A.Port, ib, r.B.Port, r.Edge)] = out
+		if m := p.slot(ib, r.B.Port, ia, r.A.Port, r.Edge); p.index[m] == 0 {
+			p.index[m] = out | 1
+		}
+	}
+	return p
+}
+
+// slot is the index position of an interaction between two interned
+// states.
+func (p *TableProtocol) slot(ia int32, pa grid.Dir, ib int32, pb grid.Dir, edge bool) int {
+	i := ((int(ia)*grid.NumDirs+int(pa))*len(p.ids)+int(ib))*grid.NumDirs + int(pb)
+	if edge {
+		return 2*i + 1
+	}
+	return 2 * i
 }
 
 // Table returns the underlying rule table.
@@ -100,13 +144,20 @@ func (p *TableProtocol) InitialState(id, n int) rules.State {
 	return p.table.Initial()
 }
 
-// Interact looks the interaction up in the table, in both orientations.
+// Interact looks the interaction up in the interned table, which resolves
+// both orientations exactly as rules.Table.Lookup does.
 func (p *TableProtocol) Interact(a, b rules.State, pa, pb grid.Dir, bonded bool) (rules.State, rules.State, bool, bool) {
-	out, swapped, ok := p.table.Lookup(a, pa, b, pb, bonded)
-	if !ok {
+	ia, okA := p.ids[a]
+	ib, okB := p.ids[b]
+	if !okA || !okB {
 		return a, b, bonded, false
 	}
-	if swapped {
+	e := p.index[p.slot(ia, pa, ib, pb, bonded)]
+	if e == 0 {
+		return a, b, bonded, false
+	}
+	out := p.outs[e>>1-1]
+	if e&1 == 1 {
 		return out.B, out.A, out.Edge, true
 	}
 	return out.A, out.B, out.Edge, true
