@@ -113,13 +113,19 @@ func (f *Fenwick) Sample(r Rand) (int, bool) {
 	target := r.Int63n(f.total) // uniform in [0, total)
 	// Descend the implicit tree: find the first slot whose prefix sum
 	// exceeds target.
+	tree := f.tree // len(tree) == n+1
 	idx := 0
-	for half := f.top; half > 0; half /= 2 {
+	for half := f.top; half > 0; half >>= 1 {
 		next := idx + half
-		if next <= f.n && f.tree[next] <= target {
-			target -= f.tree[next]
-			idx = next
+		if next >= len(tree) {
+			continue
 		}
+		// take is all ones when tree[next] <= target: branch-free, since
+		// the comparison is a coin flip the predictor cannot learn.
+		v := tree[next]
+		take := (v - target - 1) >> 63
+		target -= v & take
+		idx += half & int(take)
 	}
 	return idx, true // idx is 0-based because we counted full subtrees
 }
