@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -277,7 +278,12 @@ func (p *persister) replay() ([]replayedJob, int64, error) {
 	}
 	out := make([]replayedJob, 0, len(order))
 	for _, id := range order {
-		out = append(out, *byID[id])
+		r := byID[id]
+		// The submit handler journals a job's admission events after
+		// handing it to the pool, so a fast job's running and settled
+		// lines can precede them; timestamps carry the true order.
+		slices.SortStableFunc(r.events, func(a, b TraceEvent) int { return a.TS.Compare(b.TS) })
+		out = append(out, *r)
 	}
 	return out, maxSeq, nil
 }

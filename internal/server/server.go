@@ -391,6 +391,15 @@ func (s *Server) admit(w http.ResponseWriter, nj job.Job, spec *job.Spec, resume
 			}
 		}
 	}
+	// Stamp and record the admission events before the job can start, so
+	// a fast job's running and settled events follow them; count and
+	// journal them only once the pool accepts the job, so a refused
+	// submission leaves no journal record.
+	admission := []TraceEvent{e.addTrace(newTraceEvent(TraceSubmitted, nj.Protocol+"/"+string(nj.Engine), 0))}
+	if resumed {
+		admission = append(admission, e.addTrace(newTraceEvent(TraceResumed, "from snapshot", nj.Restore.Steps)))
+	}
+	admission = append(admission, e.addTrace(newTraceEvent(TraceQueued, "", 0)))
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	e.setCancel(cancel)
 	if err := s.pool.TrySubmit(func() { s.execute(ctx, e) }); err != nil {
@@ -408,11 +417,9 @@ func (s *Server) admit(w http.ResponseWriter, nj job.Job, spec *job.Spec, resume
 		return
 	}
 	s.journalSubmit(e)
-	s.traceEvent(e, TraceSubmitted, nj.Protocol+"/"+string(nj.Engine), 0)
-	if resumed {
-		s.traceEvent(e, TraceResumed, "from snapshot", nj.Restore.Steps)
+	for _, ev := range admission {
+		s.publishTrace(e, ev)
 	}
-	s.traceEvent(e, TraceQueued, "", 0)
 	WriteJSON(w, http.StatusAccepted, e.status())
 }
 

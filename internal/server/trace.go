@@ -38,11 +38,19 @@ type traceBody struct {
 	Events []TraceEvent `json:"events"`
 }
 
-// addTrace appends one event to the entry's in-memory trace.
-func (e *entry) addTrace(ev TraceEvent) {
+// addTrace appends one event to the entry's in-memory trace and returns
+// it as stored. Timestamps strictly increase along a trace: an event
+// stamped no later than its predecessor (a coarse or stepped-back wall
+// clock) is moved to 1ns after it, so timestamp order is recording order
+// and a journal replay can restore it whatever order the lines landed in.
+func (e *entry) addTrace(ev TraceEvent) TraceEvent {
 	e.mu.Lock()
+	defer e.mu.Unlock()
+	if n := len(e.trace); n > 0 && !ev.TS.After(e.trace[n-1].TS) {
+		ev.TS = e.trace[n-1].TS.Add(time.Nanosecond)
+	}
 	e.trace = append(e.trace, ev)
-	e.mu.Unlock()
+	return ev
 }
 
 // traceEvents snapshots the trace.
@@ -58,8 +66,17 @@ func (e *entry) traceEvents() []TraceEvent {
 // serving path (losing the trace tail on kill -9 is acceptable; losing
 // admissions or results is not).
 func (s *Server) traceEvent(e *entry, event, detail string, steps int64) {
-	ev := TraceEvent{TS: time.Now().UTC(), Event: event, Detail: detail, Steps: steps}
-	e.addTrace(ev)
+	s.publishTrace(e, e.addTrace(newTraceEvent(event, detail, steps)))
+}
+
+// newTraceEvent stamps one lifecycle event with the current time.
+func newTraceEvent(event, detail string, steps int64) TraceEvent {
+	return TraceEvent{TS: time.Now().UTC(), Event: event, Detail: detail, Steps: steps}
+}
+
+// publishTrace counts and journals an event already in the entry's
+// in-memory trace.
+func (s *Server) publishTrace(e *entry, ev TraceEvent) {
 	s.metrics.traces.Inc()
 	if s.persist != nil {
 		if err := s.persist.appendEvent(e.id, ev); err != nil {
@@ -69,7 +86,8 @@ func (s *Server) traceEvent(e *entry, event, detail string, steps int64) {
 	}
 }
 
-// handleTrace serves a job's lifecycle trace in recording order.
+// handleTrace serves a job's lifecycle trace in timestamp order (which
+// addTrace makes the recording order).
 func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
 	e, ok := s.entryFor(w, r)
 	if !ok {

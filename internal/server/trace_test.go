@@ -3,8 +3,12 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -118,5 +122,99 @@ func TestTraceSurvivesRestart(t *testing.T) {
 	if len(after) != len(before) {
 		t.Fatalf("replayed trace has %d events %v, original had %d %v",
 			len(after), after, len(before), before)
+	}
+}
+
+// TestTraceManyJobsOrdered pushes many tiny jobs through one durable
+// daemon: a fast job can run and settle while its submit handler is still
+// journaling the admission, so every trace, live and replayed after a
+// restart, must still open with submitted and queued, close with settled,
+// and run in timestamp order.
+func TestTraceManyJobsOrdered(t *testing.T) {
+	const jobs = 200
+	dir := t.TempDir()
+	cfg := Config{Workers: 2, Queue: jobs, FrameInterval: -1, DataDir: dir, CheckpointEvery: -1}
+	s := mustNew(t, cfg)
+	ids := make([]string, 0, jobs)
+	for seed := 1; seed <= jobs; seed++ {
+		code, st, raw := postJob(t, s, fmt.Sprintf(`{"protocol":"counting-upper-bound","params":{"n":2},"seed":%d}`, seed))
+		if code != http.StatusAccepted {
+			t.Fatalf("submit %d = %d: %s", seed, code, raw)
+		}
+		ids = append(ids, st.ID)
+	}
+	check := func(phase, id string, evs []TraceEvent) {
+		t.Helper()
+		names := eventNames(evs)
+		if len(names) < 4 || names[0] != TraceSubmitted || names[1] != TraceQueued ||
+			names[2] != TraceRunning || names[len(names)-1] != TraceSettled {
+			t.Fatalf("%s trace of %s = %v, want submitted, queued, running, ..., settled", phase, id, names)
+		}
+		for i := 1; i < len(evs); i++ {
+			if !evs[i].TS.After(evs[i-1].TS) {
+				t.Fatalf("%s trace of %s is not in timestamp order at %d: %v", phase, id, i, names)
+			}
+		}
+	}
+	live := make(map[string][]TraceEvent, jobs)
+	for _, id := range ids {
+		waitState(t, s, id, StateDone)
+		live[id] = getTrace(t, s, id)
+		check("live", id, live[id])
+	}
+	if err := s.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := mustNew(t, cfg)
+	defer s2.Shutdown(context.Background())
+	for _, id := range ids {
+		replayed := getTrace(t, s2, id)
+		check("replayed", id, replayed)
+		if len(replayed) != len(live[id]) {
+			t.Fatalf("replayed trace of %s = %v, live was %v", id, eventNames(replayed), eventNames(live[id]))
+		}
+		for i := range replayed {
+			if !replayed[i].TS.Equal(live[id][i].TS) || replayed[i].Event != live[id][i].Event {
+				t.Fatalf("replayed trace of %s differs at %d: %+v, live %+v", id, i, replayed[i], live[id][i])
+			}
+		}
+	}
+}
+
+// TestRefusedSubmitLeavesNoJournalRecord: a submission the pool refuses
+// was never admitted, so even though its admission events are stamped
+// before the hand-off, nothing about it may reach the journal.
+func TestRefusedSubmitLeavesNoJournalRecord(t *testing.T) {
+	reg, release := blockingRegistry()
+	dir := t.TempDir()
+	s := mustNew(t, Config{Registry: reg, Workers: 1, Queue: 1, FrameInterval: -1, DataDir: dir, CheckpointEvery: -1})
+	defer s.Shutdown(context.Background())
+	defer close(release)
+
+	code, first, raw := postJob(t, s, `{"protocol": "block", "seed": 1}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("submit = %d: %s", code, raw)
+	}
+	waitState(t, s, first.ID, StateRunning)
+	code, second, raw := postJob(t, s, `{"protocol": "block", "seed": 2}`)
+	if code != http.StatusAccepted {
+		t.Fatalf("queued submit = %d: %s", code, raw)
+	}
+	if code, _, raw := postJob(t, s, `{"protocol": "block", "seed": 3}`); code != http.StatusServiceUnavailable {
+		t.Fatalf("beyond-capacity submit = %d (%s), want 503", code, raw)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, "journal.ndjson"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		var rec journalRecord
+		if err := json.Unmarshal([]byte(line), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.ID != first.ID && rec.ID != second.ID {
+			t.Fatalf("journal holds a record of the refused submission: %s", line)
+		}
 	}
 }
