@@ -149,46 +149,3 @@ func TestTablesValidate(t *testing.T) {
 		}
 	}
 }
-
-// TestInternedTablesMatchLookup checks sim.NewTableProtocol's interned
-// index against rules.Table.Lookup, the reference, on every rule table of
-// the package: over every state x port x state x port x edge, plus one
-// state the table does not know, Interact must return exactly what
-// Lookup resolves (forward rules winning over mirrored ones).
-func TestInternedTablesMatchLookup(t *testing.T) {
-	for _, tb := range []*rules.Table{
-		LineTable(), SimpleLineTable(), SquareTable(), Square2Table(),
-		LineReplicationTable(), NoLeaderLineReplicationTable(),
-	} {
-		p := sim.NewTableProtocol(tb)
-		states := append(tb.States(), "not-in-table")
-		var effective, swapped int
-		for _, a := range states {
-			for pa := grid.Dir(0); pa < grid.NumDirs; pa++ {
-				for _, b := range states {
-					for pb := grid.Dir(0); pb < grid.NumDirs; pb++ {
-						for _, edge := range []bool{false, true} {
-							wa, wb, we, weff := a, b, edge, false
-							if out, sw, ok := tb.Lookup(a, pa, b, pb, edge); ok {
-								wa, wb, we, weff = out.A, out.B, out.Edge, true
-								effective++
-								if sw {
-									wa, wb = out.B, out.A
-									swapped++
-								}
-							}
-							ga, gb, ge, geff := p.Interact(a, b, pa, pb, edge)
-							if ga != wa || gb != wb || ge != we || geff != weff {
-								t.Fatalf("%s: (%s,%v),(%s,%v),%v = (%s,%s,%v,%v), Lookup gives (%s,%s,%v,%v)",
-									tb.Name(), a, pa, b, pb, edge, ga, gb, ge, geff, wa, wb, we, weff)
-							}
-						}
-					}
-				}
-			}
-		}
-		if effective == 0 || swapped == 0 {
-			t.Fatalf("%s: domain exercised %d effective and %d mirrored lookups", tb.Name(), effective, swapped)
-		}
-	}
-}

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"testing"
 
 	"shapesol/internal/grid"
@@ -60,49 +59,6 @@ func lineTable(t *testing.T) *rules.Table {
 		t.Fatal(err)
 	}
 	return tb
-}
-
-// TestTableProtocolMatchesLookup checks the interned index against
-// rules.Table.Lookup on random tables, which (unlike the paper's) contain
-// self-mirrored rules with asymmetric outcomes and rules stored in both
-// orientations: a forward match must win over a mirrored one, and the
-// domain includes a state the table does not know.
-func TestTableProtocolMatchesLookup(t *testing.T) {
-	r := rand.New(rand.NewSource(5))
-	states := []rules.State{"a", "b", "c", "d"}
-	pick := func() rules.State { return states[r.Intn(len(states))] }
-	for trial := 0; trial < 50; trial++ {
-		tb := rules.NewTable("random", "a")
-		for i := 0; i < 40; i++ {
-			// Conflicting and ineffective candidates are rejected by Add;
-			// the rest make up the table.
-			_ = tb.Add(pick(), grid.Dir(r.Intn(grid.NumDirs)), pick(), grid.Dir(r.Intn(grid.NumDirs)),
-				r.Intn(2) == 1, pick(), pick(), r.Intn(2) == 1)
-		}
-		p := NewTableProtocol(tb)
-		for _, a := range append(states, "unknown") {
-			for _, b := range append(states, "unknown") {
-				for pa := grid.Dir(0); pa < grid.NumDirs; pa++ {
-					for pb := grid.Dir(0); pb < grid.NumDirs; pb++ {
-						for _, edge := range []bool{false, true} {
-							wa, wb, we, weff := a, b, edge, false
-							if out, sw, ok := tb.Lookup(a, pa, b, pb, edge); ok {
-								wa, wb, we, weff = out.A, out.B, out.Edge, true
-								if sw {
-									wa, wb = out.B, out.A
-								}
-							}
-							ga, gb, ge, geff := p.Interact(a, b, pa, pb, edge)
-							if ga != wa || gb != wb || ge != we || geff != weff {
-								t.Fatalf("trial %d: (%s,%v),(%s,%v),%v = (%s,%s,%v,%v), Lookup gives (%s,%s,%v,%v)",
-									trial, a, pa, b, pb, edge, ga, gb, ge, geff, wa, wb, we, weff)
-							}
-						}
-					}
-				}
-			}
-		}
-	}
 }
 
 func TestGlueAggregatesEverything(t *testing.T) {

@@ -13,6 +13,7 @@ package wrand
 
 import (
 	"fmt"
+	"math/bits"
 )
 
 // Fenwick is a binary indexed tree over int64 weights supporting point
@@ -33,11 +34,10 @@ func NewFenwick(n int) *Fenwick {
 
 // highBit returns the highest power of two <= n, or 0 when n <= 0.
 func highBit(n int) int {
-	h := 0
-	for b := 1; b > 0 && b <= n; b <<= 1 {
-		h = b
+	if n <= 0 {
+		return 0
 	}
-	return h
+	return 1 << (bits.Len(uint(n)) - 1)
 }
 
 // Len returns the number of slots.
