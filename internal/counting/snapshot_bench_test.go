@@ -1,6 +1,7 @@
 package counting
 
 import (
+	"context"
 	"testing"
 
 	"shapesol/internal/pop"
@@ -10,20 +11,22 @@ import (
 
 // The snapshot cost baseline at the paper's headline scale: Theorem 1 on
 // the urn engine at n = 10^6. Capture is a deep copy of the slot tables
-// plus a gob encode; restore is the inverse plus Fenwick rebuilds. Both
-// are O(m^2) in the distinct-state count m (the pair table), which stays
+// plus a gob encode; restore is the inverse plus a pair-sampler rebuild.
+// Both are O(m^2) in the distinct-state count m (the pair table), which stays
 // O(1) for the counting protocols — so checkpointing a million-agent run
 // costs microseconds, and the daemon can checkpoint on every progress
 // tick without denting throughput. scripts/bench_snapshot.sh records
 // these numbers as the perf trajectory's snapshot baseline.
 
+// benchUrnWorld warms a world past the initial transient: the run is
+// canceled from its first Progress tick, the daemon's capture point.
 func benchUrnWorld(b *testing.B, n int) *urn.World[UBState] {
 	b.Helper()
-	w := NewUpperBoundUrnWorld(n, 5, 1, 1<<62, nil)
-	for i := 0; i < 500; i++ { // warm past the initial transient
-		if !w.StepEffective() {
-			b.Fatal("world halted during warm-up")
-		}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	w := NewUpperBoundUrnWorld(n, 5, 1, 1<<62, func(int64) { cancel() })
+	if res := w.RunContext(ctx); res.Reason != pop.ReasonCanceled {
+		b.Fatalf("warm-up ended with %v, want canceled", res.Reason)
 	}
 	return w
 }

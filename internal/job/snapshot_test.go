@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"shapesol/internal/grid"
@@ -123,6 +125,37 @@ func TestSnapshotResumeGolden(t *testing.T) {
 		if !covered[name] {
 			t.Errorf("protocol %q has no snapshot job", name)
 		}
+	}
+}
+
+// TestResumeOlderUrnSnapshot pins that checkpoints written by an older
+// build stay resumable under the same snap.Version. The committed
+// snapshot is the golden urn job's fourth Progress-tick capture from a
+// build whose urn memento still carried a CountSampler field; gob skips
+// fields the receiving struct lacks, so the resumed run must finish with
+// the golden Result bytes.
+func TestResumeOlderUrnSnapshot(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "counting-upper-bound.urn.count-sampler.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte("CountSampler")) {
+		t.Fatal("snapshot no longer carries the dropped CountSampler field")
+	}
+	s, err := snap.Decode(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Resume(context.Background(), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := os.ReadFile(filepath.Join("testdata", "counting-upper-bound.urn.golden.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := append(envelopeBytes(t, res), '\n'); !bytes.Equal(got, want) {
+		t.Fatalf("resumed older snapshot drifted from the golden:\ngot:\n%s\nwant:\n%s", got, want)
 	}
 }
 

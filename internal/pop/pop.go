@@ -57,34 +57,7 @@ type Options struct {
 	// Progress, when non-nil, is invoked by Run every CheckEvery steps with
 	// the current (simulated) step count. It must not mutate the world.
 	Progress func(steps int64)
-	// Sampler selects the weighted-sampling structure behind the urn
-	// engine's responsive-pair and agent-count draws. The default is the
-	// alias sampler (O(1) draws, amortized-O(1) updates); SamplerFenwick
-	// forces the O(log m) Fenwick tree kept as the reference
-	// implementation. The exact pop engine draws agent pairs uniformly and
-	// ignores this knob.
-	Sampler SamplerKind
-	// BatchSize is the urn engine's effective-interaction block size:
-	// transitions are executed in blocks of up to BatchSize draws with
-	// deferred stop/cancellation/progress handling at block boundaries
-	// (clamped to the CheckEvery cadence). 0 selects the default (256);
-	// 1 forces the per-interaction reference loop. The exact pop engine
-	// ignores this knob.
-	BatchSize int
 }
-
-// SamplerKind names a weighted-sampler implementation for the urn engine.
-type SamplerKind string
-
-// Sampler kinds.
-const (
-	// SamplerDefault lets the engine choose (currently SamplerAlias).
-	SamplerDefault SamplerKind = ""
-	// SamplerFenwick is the O(log m) Fenwick-tree reference sampler.
-	SamplerFenwick SamplerKind = "fenwick"
-	// SamplerAlias is the O(1) alias/rejection sampler.
-	SamplerAlias SamplerKind = "alias"
-)
 
 func (o Options) withDefaults() Options {
 	sched.RunDefaults(&o.MaxSteps, &o.CheckEvery, 100_000_000)

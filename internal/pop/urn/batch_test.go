@@ -1,6 +1,7 @@
 package urn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -49,8 +50,9 @@ func (tallyProto) Halted(int) bool { return false }
 // TestBatchedPairDrawDistribution pins the law of the batched block loop:
 // with a swap protocol the configuration is invariant, so across a long
 // stepBlock every drawn pair {a, b} must appear with probability
-// c_a*c_b / W exactly as in the per-interaction reference path. Each cell
-// is checked within 5 sigma of its binomial expectation.
+// c_a*c_b / W, the exact scheduler's law conditioned on an effective
+// interaction. Each cell is checked within 5 sigma of its binomial
+// expectation.
 func TestBatchedPairDrawDistribution(t *testing.T) {
 	armed := false
 	proto := tallyProto{
@@ -77,7 +79,6 @@ func TestBatchedPairDrawDistribution(t *testing.T) {
 	if halted, exhausted := w.stepBlock(trials); halted || exhausted {
 		t.Fatalf("swap world stopped early (halted=%v exhausted=%v)", halted, exhausted)
 	}
-	w.flushCounts()
 
 	var drawn int
 	for _, c := range proto.hits {
@@ -96,42 +97,16 @@ func TestBatchedPairDrawDistribution(t *testing.T) {
 	}
 }
 
-// TestReferenceLoopGeometricLaw runs the geometric-skip law check on the
-// configuration the reference loop (Fenwick sampler, BatchSize 1) is kept
-// for: with one responsive pair among C = n(n-1)/2 the halting step is
-// geometric with mean C, on the batched path and the reference path alike.
-func TestReferenceLoopGeometricLaw(t *testing.T) {
-	const n, trials = 50, 1500
-	C := float64(n * (n - 1) / 2)
-	var sum float64
-	for seed := int64(0); seed < trials; seed++ {
-		w := New(n, haltOnMeet{}, pop.Options{
-			Seed: seed, StopWhenAnyHalted: true,
-			Sampler: pop.SamplerFenwick, BatchSize: 1,
-		})
-		res := w.Run()
-		if res.Reason != pop.ReasonHalted || res.Effective != 1 {
-			t.Fatalf("seed %d: reason=%v effective=%d", seed, res.Reason, res.Effective)
-		}
-		sum += float64(res.Steps)
-	}
-	mean := sum / trials
-	if tol := 5 * C / math.Sqrt(trials); math.Abs(mean-C) > tol {
-		t.Fatalf("mean halt step = %v, want %v +- %v", mean, C, tol)
-	}
-}
-
 // TestBatchedHaltsAtExactInteraction checks the block loop does not
 // overshoot a stop condition: the first halting interaction ends the run
-// mid-block with Effective exactly 1, regardless of the block size.
+// mid-block with Effective exactly 1, regardless of the block limit.
 func TestBatchedHaltsAtExactInteraction(t *testing.T) {
-	for _, batch := range []int{2, 64, 1024} {
-		w := New(80, haltOnMeet{}, pop.Options{
-			Seed: 17, StopWhenAnyHalted: true, MaxSteps: 1 << 50, BatchSize: batch,
-		})
-		res := w.Run()
-		if res.Reason != pop.ReasonHalted || res.Effective != 1 {
-			t.Fatalf("batch %d: reason=%v effective=%d, want halted after 1", batch, res.Reason, res.Effective)
+	for _, limit := range []int64{2, 64, 1024} {
+		w := New(80, haltOnMeet{}, pop.Options{Seed: 17, StopWhenAnyHalted: true, MaxSteps: 1 << 50})
+		halted, exhausted := w.stepBlock(limit)
+		if !halted || exhausted || w.Effective() != 1 {
+			t.Fatalf("limit %d: halted=%v exhausted=%v effective=%d, want halted after 1",
+				limit, halted, exhausted, w.Effective())
 		}
 	}
 }
@@ -139,7 +114,7 @@ func TestBatchedHaltsAtExactInteraction(t *testing.T) {
 // TestBatchedProgressCadence checks the block loop preserves the
 // observable RunContext contract: Progress fires at exact
 // CheckEvery-effective boundaries with a strictly increasing simulated
-// clock, the same cadence the per-interaction loop exposes.
+// clock.
 func TestBatchedProgressCadence(t *testing.T) {
 	const checkEvery = 128
 	var calls int
@@ -168,51 +143,65 @@ func TestBatchedProgressCadence(t *testing.T) {
 	}
 }
 
-// TestBatchedBlockZeroAllocs guards the batched hot loop the way
-// TestStepEffectiveZeroAllocs guards the reference unit: after warm-up a
-// block of token-churn interactions — slot relabeling, pair recycling,
-// deferred count flushes and amortized alias rebuilds included — must not
-// allocate.
+// TestBatchedBlockZeroAllocs guards the batched hot loop per block: after
+// warm-up a block of token-churn interactions — slot relabeling, pair
+// recycling and amortized alias rebuilds included — must not allocate.
 func TestBatchedBlockZeroAllocs(t *testing.T) {
 	w := New(1000, tokenProto{k: 6, cycle: 40}, pop.Options{Seed: 1, MaxSteps: 1 << 60})
 	for i := 0; i < 20; i++ {
 		if halted, exhausted := w.stepBlock(64); halted || exhausted {
 			t.Fatal("token world stopped during warm-up")
 		}
-		w.flushCounts()
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		if halted, exhausted := w.stepBlock(64); halted || exhausted {
 			t.Fatal("token world stopped")
 		}
-		w.flushCounts()
 	})
 	if allocs != 0 {
 		t.Fatalf("batched block allocates %v per block in steady state, want 0", allocs)
 	}
 }
 
-// TestSamplerKindsAgreeOnColorMixing cross-checks the two samplers end to
-// end on the same protocol: colorProto's effective fraction is a fixed
-// 21/45, so both engines' step/effective ratios must match it within
-// binomial noise.
+// TestSamplerKindsAgreeOnColorMixing checks the geometric skip law end to
+// end at a large success probability: colorProto's effective fraction is
+// a fixed 21/45, so the step/effective ratio of the block loop must match
+// it within binomial noise. TestGeometricSkipMatchesGeometricLaw covers
+// the small-probability end, p = 1/C.
 func TestSamplerKindsAgreeOnColorMixing(t *testing.T) {
-	for _, kind := range []pop.SamplerKind{pop.SamplerAlias, pop.SamplerFenwick} {
-		w := New(10, colorProto{ones: 3}, pop.Options{Seed: 3, Sampler: kind, MaxSteps: 1 << 60})
-		const effTarget = 20000
-		for i := 0; i < effTarget; i++ {
-			if !w.StepEffective() {
-				t.Fatalf("%s: color world froze", kind)
+	w := New(10, colorProto{ones: 3}, pop.Options{Seed: 3, MaxSteps: 1 << 60})
+	const effTarget = 20000
+	if !advance(w, effTarget) {
+		t.Fatal("color world froze")
+	}
+	p := 21.0 / 45.0
+	mean := float64(effTarget) / p
+	sigma := math.Sqrt(float64(effTarget)*(1-p)) / p
+	if got := float64(w.Steps()); math.Abs(got-mean) > 5*sigma {
+		t.Errorf("%v steps for %d effective, want %.0f +- %.0f", got, effTarget, mean, 5*sigma)
+	}
+	if w.Count(1) != 3 || w.Count(0) != 7 {
+		t.Errorf("multiset drifted")
+	}
+}
+
+// BenchmarkStepBlock is the urn engine's micro-benchmark: one block of
+// blockSize effective interactions on a churning token world (every event
+// draws a geometric skip and retires one token slot for another). Steady
+// state must report 0 allocs/op.
+func BenchmarkStepBlock(b *testing.B) {
+	for _, n := range []int{10_000, 1_000_000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			w := New(n, tokenProto{k: 6, cycle: 40}, pop.Options{Seed: 1, MaxSteps: 1 << 62})
+			w.stepBlock(blockSize) // warm the slot and pair tables
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if halted, exhausted := w.stepBlock(blockSize); halted || exhausted {
+					b.Fatal("token world stopped")
+				}
 			}
-		}
-		p := 21.0 / 45.0
-		mean := float64(effTarget) / p
-		sigma := math.Sqrt(float64(effTarget)*(1-p)) / p
-		if got := float64(w.Steps()); math.Abs(got-mean) > 5*sigma {
-			t.Errorf("%s: %v steps for %d effective, want %.0f +- %.0f", kind, got, effTarget, mean, 5*sigma)
-		}
-		if w.Count(1) != 3 || w.Count(0) != 7 {
-			t.Errorf("%s: multiset drifted", kind)
-		}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*blockSize), "ns/effective")
+		})
 	}
 }

@@ -29,14 +29,13 @@ type SchedMemento[S comparable] struct {
 // free-pair recycling stacks, and the responsive-pair table — because the
 // layout is part of the sampling state: sampler indices decide which slot
 // a given random draw lands on, so a canonically rebuilt urn would be
-// statistically equivalent but not trajectory-identical. A Fenwick tree
-// is fully derived (its array is a pure function of its weight vector)
-// and is rebuilt on restore, as are the state-to-slot map and the halted
-// tallies; an alias sampler additionally carries drift state (the stale
-// table snapshot and excess-list order decide how many RNG draws a Sample
-// consumes), so CountSampler/PairSampler capture it verbatim. A nil
-// sampler state (an older snapshot, or one captured from a Fenwick world)
-// restores to a deterministically rebuilt fresh table instead.
+// statistically equivalent but not trajectory-identical. The state-to-slot
+// map and the halted tallies are derived and rebuilt on restore. The pair
+// sampler carries drift state (the stale table snapshot and excess-list
+// order decide how many RNG draws a Sample consumes), so PairSampler
+// captures it verbatim; a nil PairSampler restores to a deterministically
+// rebuilt fresh table. Snapshots written before the count sampler was
+// removed still decode: gob skips their CountSampler field.
 type Memento[S comparable] struct {
 	N         int
 	Steps     int64
@@ -50,10 +49,8 @@ type Memento[S comparable] struct {
 	PairSlot  [][]int32
 	FreePairs []int
 
-	// Alias drift state of the count/pair samplers; nil when the capture
-	// source used the Fenwick reference sampler.
-	CountSampler *wrand.AliasState
-	PairSampler  *wrand.AliasState
+	// PairSampler is the pair sampler's alias drift state.
+	PairSampler *wrand.AliasState
 
 	// Sched is the scheduler/fault layer's state; nil for profile-less
 	// worlds (older snapshots decode with it nil and restore identically).
@@ -64,7 +61,6 @@ type Memento[S comparable] struct {
 // so the capture stays valid while the run continues. Capture only
 // between effective steps — e.g. from the Progress callback.
 func (w *World[S]) Memento() *Memento[S] {
-	w.flushCounts() // settle any deferred batched-block updates
 	m := &Memento[S]{
 		N:         w.n,
 		Steps:     w.steps,
@@ -82,14 +78,8 @@ func (w *World[S]) Memento() *Memento[S] {
 	for i, row := range w.pairSlot {
 		m.PairSlot[i] = append([]int32(nil), row...)
 	}
-	if a, ok := w.countF.(*wrand.Alias); ok {
-		s := a.State()
-		m.CountSampler = &s
-	}
-	if a, ok := w.pairF.(*wrand.Alias); ok {
-		s := a.State()
-		m.PairSampler = &s
-	}
+	ps := w.pairF.State()
+	m.PairSampler = &ps
 	if w.profiled {
 		m.Sched = &SchedMemento[S]{
 			Mult:       append([]int64(nil), w.mult...),
@@ -111,13 +101,13 @@ func (w *World[S]) Memento() *Memento[S] {
 // sampler, first cross-checking that the captured live weights match the
 // weights derived from the restored slot tables (a mismatch means the
 // snapshot is internally inconsistent).
-func restoreAlias(a *wrand.Alias, s *wrand.AliasState, what string) error {
+func restoreAlias(a *wrand.Alias, s *wrand.AliasState) error {
 	if len(s.Weights) != a.Len() {
-		return fmt.Errorf("urn: snapshot %s sampler has %d slots, tables imply %d", what, len(s.Weights), a.Len())
+		return fmt.Errorf("urn: snapshot pair sampler has %d slots, tables imply %d", len(s.Weights), a.Len())
 	}
 	for i, sw := range s.Weights {
 		if sw != a.Weight(i) {
-			return fmt.Errorf("urn: snapshot %s sampler weight %d at slot %d, tables imply %d", what, sw, i, a.Weight(i))
+			return fmt.Errorf("urn: snapshot pair sampler weight %d at slot %d, tables imply %d", sw, i, a.Weight(i))
 		}
 	}
 	return a.SetState(*s)
@@ -126,9 +116,9 @@ func restoreAlias(a *wrand.Alias, s *wrand.AliasState, what string) error {
 // RestoreMemento rewinds the World to a captured state. The World must
 // have been built with the same population size and protocol; its own
 // options stay in effect. The slot tables are installed verbatim and the
-// derived structures (state index, halted tallies, both Fenwick trees)
-// are rebuilt, after which the World continues the captured trajectory
-// exactly.
+// derived structures (state index, halted tallies, mass sums, pair
+// sampler) are rebuilt, after which the World continues the captured
+// trajectory exactly.
 func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 	if m.N != w.n {
 		return fmt.Errorf("urn: snapshot population %d, world has %d", m.N, w.n)
@@ -173,7 +163,7 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 	}
 	if m.Sched != nil {
 		// Install the scheduler layer before the rebuild loops below:
-		// pairWeight and the count-tree weights depend on the multipliers.
+		// pairWeight and the mass sums depend on the multipliers.
 		w.mult = append(w.mult[:0], m.Sched.Mult...)
 		w.rateCursor = m.Sched.RateCursor
 		w.crashed = append(w.crashed[:0], m.Sched.Crashed...)
@@ -221,7 +211,7 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 	}
 
 	// Rebuild the derived structures: positions, the state index, halted
-	// tallies and both sampling trees.
+	// tallies, mass sums and the pair sampler.
 	w.haltedSlot = make([]bool, nSlots)
 	w.livePos = make([]int32, nSlots)
 	for i := range w.livePos {
@@ -230,7 +220,6 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 	clear(w.slotOf)
 	w.haltedCount = 0
 	w.sumT, w.sumS2 = 0, 0
-	w.countF = newSampler(w.opts.Sampler, nSlots)
 	for pos, slot := range w.live {
 		if slot < 0 || int(slot) >= nSlots {
 			return fmt.Errorf("urn: snapshot live slot %d out of range", slot)
@@ -245,18 +234,13 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 		if w.haltedSlot[slot] {
 			w.haltedCount += w.counts[slot]
 		}
-		mlt := w.multOf(int(slot))
-		w.countF.Set(int(slot), w.counts[slot]*mlt)
-		if w.profiled {
-			w.sumT += mlt * w.counts[slot]
-			w.sumS2 += mlt * mlt * w.counts[slot]
-		}
+		w.bumpMass(int(slot), w.counts[slot])
 	}
 	free := make(map[int]bool, len(w.freePairs))
 	for _, ps := range w.freePairs {
 		free[ps] = true
 	}
-	w.pairF = newSampler(w.opts.Sampler, len(w.pairAB))
+	w.pairF = wrand.NewAlias(len(w.pairAB))
 	for ps, ab := range w.pairAB {
 		if free[ps] {
 			continue
@@ -267,22 +251,14 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 		}
 		w.pairF.Set(ps, w.pairWeight(i, j))
 	}
-	// Reinstall captured alias drift state, if any, over the fresh tables
-	// so the restored world replays the captured RNG stream exactly. A
-	// Fenwick world ignores the alias states; an alias world restoring a
-	// Fenwick-era memento keeps the deterministic fresh tables.
-	if a, ok := w.countF.(*wrand.Alias); ok && m.CountSampler != nil {
-		if err := restoreAlias(a, m.CountSampler, "count"); err != nil {
-			return err
-		}
-	}
-	if a, ok := w.pairF.(*wrand.Alias); ok && m.PairSampler != nil {
-		if err := restoreAlias(a, m.PairSampler, "pair"); err != nil {
+	// Reinstall captured drift state over the fresh table so the restored
+	// world replays the captured RNG stream exactly.
+	if m.PairSampler != nil {
+		if err := restoreAlias(w.pairF, m.PairSampler); err != nil {
 			return err
 		}
 	}
 	w.slotOfValid = true
-	w.countDirty = w.countDirty[:0]
 	w.skipW = 0
 	w.skipC = 0
 	w.steps = m.Steps

@@ -14,10 +14,8 @@ import (
 func TestSnapshotResumeIdentical(t *testing.T) {
 	opts := pop.Options{Seed: 11, MaxSteps: 20_000_000}
 	base := New(500, tokenProto{k: 6, cycle: 40}, opts)
-	for i := 0; i < 3_000; i++ {
-		if !base.StepEffective() {
-			t.Fatal("budget exhausted during warm-up")
-		}
+	if !advance(base, 3_000) {
+		t.Fatal("budget exhausted during warm-up")
 	}
 	m := base.Memento()
 	baseRes := base.Run()
@@ -48,8 +46,8 @@ func TestSnapshotResumeIdentical(t *testing.T) {
 func TestSnapshotResumeHalting(t *testing.T) {
 	opts := pop.Options{Seed: 4, StopWhenAnyHalted: true, MaxSteps: 1 << 40}
 	base := New(300, haltOnMeet{}, opts)
-	for i := 0; i < 20; i++ {
-		base.StepEffective()
+	if advance(base, 20) {
+		t.Fatal("world did not halt at its only effective interaction")
 	}
 	m := base.Memento()
 	baseRes := base.Run()
@@ -76,9 +74,9 @@ func TestSnapshotCaptureIsPassive(t *testing.T) {
 	plain := New(100, colorProto{ones: 40}, opts)
 	observed := New(100, colorProto{ones: 40}, opts)
 	for i := 0; i < 2_000; i++ {
-		plain.StepEffective()
+		advance(plain, 1)
 		observed.Memento()
-		observed.StepEffective()
+		advance(observed, 1)
 	}
 	if plain.Steps() != observed.Steps() || plain.Effective() != observed.Effective() {
 		t.Fatalf("clocks diverged: %d/%d vs %d/%d",
@@ -92,26 +90,12 @@ func TestSnapshotCaptureIsPassive(t *testing.T) {
 }
 
 // TestMementoSamplerStates pins the capture contract of the sampler
-// fields: an alias world carries its drift state (both samplers), a
-// Fenwick world carries nil (its trees are fully derived on restore).
+// field: a memento carries the pair sampler's alias drift state.
 func TestMementoSamplerStates(t *testing.T) {
-	al := New(200, tokenProto{k: 6, cycle: 40}, pop.Options{Seed: 2, MaxSteps: 1 << 50})
-	for i := 0; i < 200; i++ {
-		al.StepEffective()
-	}
-	m := al.Memento()
-	if m.CountSampler == nil || m.PairSampler == nil {
-		t.Fatalf("alias world memento dropped sampler state (%v, %v)", m.CountSampler, m.PairSampler)
-	}
-
-	fw := New(200, tokenProto{k: 6, cycle: 40}, pop.Options{
-		Seed: 2, MaxSteps: 1 << 50, Sampler: pop.SamplerFenwick,
-	})
-	for i := 0; i < 200; i++ {
-		fw.StepEffective()
-	}
-	if m := fw.Memento(); m.CountSampler != nil || m.PairSampler != nil {
-		t.Fatal("fenwick world memento carries alias sampler state")
+	w := New(200, tokenProto{k: 6, cycle: 40}, pop.Options{Seed: 2, MaxSteps: 1 << 50})
+	advance(w, 200)
+	if m := w.Memento(); m.PairSampler == nil {
+		t.Fatal("memento dropped the pair sampler state")
 	}
 }
 
@@ -149,45 +133,6 @@ func TestSnapshotResumeBatchedDeterministic(t *testing.T) {
 			t.Fatalf("state %d count %d, want %d", s, got, count)
 		}
 	})
-}
-
-// TestSnapshotCrossSamplerRestore covers the two mixed cases: a Fenwick
-// world ignores captured alias state, and an alias world restoring a
-// Fenwick-era memento (nil sampler states) rebuilds fresh deterministic
-// tables. Both directions must restore cleanly and conserve the
-// population.
-func TestSnapshotCrossSamplerRestore(t *testing.T) {
-	const n = 300
-	aliasOpts := pop.Options{Seed: 6, MaxSteps: 1 << 50}
-	fenwickOpts := pop.Options{Seed: 6, MaxSteps: 1 << 50, Sampler: pop.SamplerFenwick}
-
-	al := New(n, tokenProto{k: 6, cycle: 40}, aliasOpts)
-	fw := New(n, tokenProto{k: 6, cycle: 40}, fenwickOpts)
-	for i := 0; i < 500; i++ {
-		al.StepEffective()
-		fw.StepEffective()
-	}
-
-	intoFenwick := New(n, tokenProto{k: 6, cycle: 40}, fenwickOpts)
-	if err := intoFenwick.RestoreMemento(al.Memento()); err != nil {
-		t.Fatalf("fenwick world rejected alias memento: %v", err)
-	}
-	intoAlias := New(n, tokenProto{k: 6, cycle: 40}, aliasOpts)
-	if err := intoAlias.RestoreMemento(fw.Memento()); err != nil {
-		t.Fatalf("alias world rejected fenwick memento: %v", err)
-	}
-	for _, w := range []*World[int]{intoFenwick, intoAlias} {
-		var total int64
-		w.ForEach(func(s int, c int64) { total += c })
-		if total != n {
-			t.Fatalf("population drifted to %d after cross-restore, want %d", total, n)
-		}
-		for i := 0; i < 200; i++ {
-			if !w.StepEffective() {
-				t.Fatal("cross-restored world froze")
-			}
-		}
-	}
 }
 
 // TestRestoreMementoRejectsCorrupt covers the validation paths.

@@ -8,15 +8,13 @@
 // The engine reproduces internal/pop's default pair scheduler in
 // distribution. A uniform random unordered agent pair corresponds to a
 // state pair {s, t} with probability c_s*c_t / C (s != t) or
-// c_s*(c_s-1)/2 / C (s == t), where C = n(n-1)/2; both the exact Step and
-// the compressed Run sample from this law through a wrand.Sampler — the
-// O(1) alias sampler by default, or the O(log m) Fenwick tree reference
-// when pop.Options.Sampler selects it.
+// c_s*(c_s-1)/2 / C (s == t), where C = n(n-1)/2; Run samples the
+// responsive part of this law through an O(1) wrand.Alias sampler.
 //
 // Pair selection is pluggable here too (internal/sched, via ApplyProfile),
 // within what the compression can express. Identities are compressed
 // away, so the weighted policy becomes per-slot weight multipliers on the
-// same samplers — activity rates attach to state classes in order of
+// same sampler — activity rates attach to state classes in order of
 // first appearance, and the all-pairs total C generalizes to
 // (T^2 - S2)/2 for T = sum m_i*c_i, S2 = sum m_i^2*c_i — while the
 // id-based clustered and adversarial-delay policies are rejected at
@@ -36,16 +34,17 @@
 // engine near n = 10^3 — collapse to one random draw each.
 //
 // On top of the skipping, Run executes effective interactions in blocks of
-// Options.BatchSize conditional draws (the batched step loop): the
-// stop-condition, cancellation, progress and budget checks move to block
-// boundaries, and the per-interaction bookkeeping takes a fast path that
-// applies transitions directly on the drawn slots — recycling a slot whose
-// count reached zero in place for a newly appearing state instead of
-// retiring and reallocating it. Each draw in a block still conditions on
-// the exactly-updated weights, so the block is distribution-identical to
-// Options.BatchSize sequential StepEffective calls; see DESIGN.md ("The
-// urn engine") for the argument, and note only the slot *labeling* — never
-// the state multiset — differs from the reference path.
+// up to blockSize conditional draws (the batched step loop, its only
+// stepping path): the stop-condition, cancellation, progress and budget
+// checks move to block boundaries, and the per-interaction bookkeeping
+// applies transitions directly on the drawn slots — recycling a slot
+// whose count reached zero in place for a newly appearing state instead
+// of retiring and reallocating it. Each draw in a block is a geometric
+// skip followed by a weighted responsive pair, conditioned on the
+// exactly-maintained weights, so a block has the law of the same number
+// of effective interactions of the exact scheduler; see DESIGN.md ("The
+// urn engine") for the argument. Slot labeling is bookkeeping only: it
+// never changes the state multiset.
 //
 // Protocol contract beyond pop.Protocol: S must be comparable, Apply must
 // be a pure function of the two states (the engine calls it both to
@@ -113,32 +112,20 @@ type World[S comparable] struct {
 	slotOf      map[S]int
 	slotOfValid bool
 
-	// countF weights each slot by its count: sampling it draws a uniform
-	// random agent's state.
-	countF wrand.Sampler
-
 	// pairF holds one entry per *responsive* unordered slot pair {i, j},
 	// weighted by the number of agent pairs realizing it (c_i*c_j, or
 	// c_i*(c_i-1)/2 on the diagonal). Its Total() is the responsive weight
 	// W of the geometric skip.
-	pairF     wrand.Sampler
+	pairF     *wrand.Alias
 	pairAB    [][2]int32
 	pairSlot  [][]int32 // [i][j] pair entry of {i, j}, -1 when unresponsive
 	freePairs []int
 
-	// batch is the resolved Options.BatchSize; skipW/skipDenom cache the
-	// geometric-skip log denominator while the responsive weight is
-	// unchanged (recomputing it from scratch is deterministic, so neither
-	// field is snapshot state).
-	batch     int
+	// skipW/skipDenom cache the geometric-skip log denominator while the
+	// responsive weight is unchanged (recomputing it from scratch is
+	// deterministic, so neither field is snapshot state).
 	skipW     int64
 	skipDenom float64
-
-	// countDirty defers countF updates within a batched block: the block
-	// never samples countF, so the slots whose counts changed are queued
-	// and flushed once at the block boundary (always empty between blocks,
-	// hence not snapshot state).
-	countDirty []int32
 
 	// Scheduler/fault layer (ApplyProfile). profiled gates every dynamic
 	// path; a profile-less world leaves all of this zero and runs the
@@ -181,13 +168,9 @@ type World[S comparable] struct {
 	pubRebuilds            int64
 }
 
-// newSampler builds the weighted sampler selected by kind.
-func newSampler(kind pop.SamplerKind, n int) wrand.Sampler {
-	if kind == pop.SamplerFenwick {
-		return wrand.NewFenwick(n)
-	}
-	return wrand.NewAlias(n)
-}
+// blockSize is the batched loop's block length in effective interactions
+// (clamped to the CheckEvery cadence).
+const blockSize = 256
 
 // scanThreshold is the live-slot count below which state lookup scans the
 // live list instead of maintaining the slotOf map: hashing a state costs
@@ -251,12 +234,6 @@ func New[S comparable](n int, proto Protocol[S], opts pop.Options) *World[S] {
 		panic(fmt.Sprintf("urn: population size %d < 2", n))
 	}
 	sched.RunDefaults(&opts.MaxSteps, &opts.CheckEvery, 100_000_000)
-	if opts.Sampler == pop.SamplerDefault {
-		opts.Sampler = pop.SamplerAlias
-	}
-	if opts.BatchSize == 0 {
-		opts.BatchSize = 256
-	}
 	w := &World[S]{
 		n:           n,
 		totalPairs:  int64(n) * int64(n-1) / 2,
@@ -265,9 +242,7 @@ func New[S comparable](n int, proto Protocol[S], opts pop.Options) *World[S] {
 		rng:         wrand.NewRNG(opts.Seed),
 		slotOf:      make(map[S]int),
 		slotOfValid: true,
-		countF:      newSampler(opts.Sampler, 0),
-		pairF:       newSampler(opts.Sampler, 0),
-		batch:       opts.BatchSize,
+		pairF:       wrand.NewAlias(0),
 	}
 	for id := 0; id < n; id++ {
 		w.addOne(proto.InitialState(id, n))
@@ -280,9 +255,8 @@ func New[S comparable](n int, proto Protocol[S], opts pop.Options) *World[S] {
 // first and then overwrites the layer's state). A profile that
 // normalizes to the zero value leaves the engine on its historical path,
 // byte-identical to a profile-less run. The id-based policies (clustered,
-// adversarial-delay) are rejected by validation; fault injection
-// additionally requires the batched path, whose block boundaries are the
-// fault-application points.
+// adversarial-delay) are rejected by validation. Fault events apply at
+// block boundaries.
 func (w *World[S]) ApplyProfile(p sched.Profile) error {
 	np, err := p.Normalize(sched.EngineUrn, w.n)
 	if err != nil {
@@ -297,9 +271,6 @@ func (w *World[S]) ApplyProfile(p sched.Profile) error {
 	if w.steps != 0 || w.effective != 0 {
 		return fmt.Errorf("urn: profile applied to a world that already stepped")
 	}
-	if np.HasFaults() && w.batch <= 1 {
-		return fmt.Errorf("urn: fault injection requires the batched path (BatchSize > 1)")
-	}
 	w.prof = np
 	w.profiled = true
 	w.present = int64(w.n)
@@ -312,7 +283,6 @@ func (w *World[S]) ApplyProfile(p sched.Profile) error {
 		w.mult[slot] = w.nextMult()
 	}
 	for _, slot := range w.live {
-		w.countF.Set(int(slot), w.counts[slot]*w.mult[slot])
 		w.sumT += w.mult[slot] * w.counts[slot]
 		w.sumS2 += w.mult[slot] * w.mult[slot] * w.counts[slot]
 		w.syncPairs(int(slot))
@@ -332,14 +302,6 @@ func (w *World[S]) nextMult() int64 {
 	m := w.prof.Rates[w.rateCursor%int64(len(w.prof.Rates))]
 	w.rateCursor++
 	return m
-}
-
-// multOf returns slot's activity-rate multiplier.
-func (w *World[S]) multOf(slot int) int64 {
-	if w.mult == nil {
-		return 1
-	}
-	return w.mult[slot]
 }
 
 // allPairs returns the current all-pairs weight total: the static
@@ -462,7 +424,6 @@ func (w *World[S]) allocSlot(s S) int {
 				w.pairSlot[i] = append(w.pairSlot[i], -1)
 			}
 		}
-		w.countF.Grow(len(w.states))
 	}
 	w.states[slot] = s
 	w.counts[slot] = 0
@@ -536,18 +497,17 @@ func (w *World[S]) addPair(i, j int) {
 	w.pairF.Set(ps, w.pairWeight(i, j))
 }
 
-// setCount updates a slot's multiplicity and resynchronizes every sampling
-// structure touching it: the agent-count sampler, the halted tally, and
-// the weights of all responsive pairs involving the slot (O(m) sampler
-// updates). It is the reference path's primitive; the batched path uses
-// setCountOnly + deferred syncs instead.
+// setCount updates a slot's multiplicity and resynchronizes everything
+// touching it: the halted tally, the mass sums and the weights of all
+// responsive pairs involving the slot (O(m) sampler updates). Set-up and
+// fault events use it; transitions use setCountOnly + deferred syncs
+// instead.
 func (w *World[S]) setCount(slot int, c int64) {
 	old := w.counts[slot]
 	if old == c {
 		return
 	}
 	w.counts[slot] = c
-	w.countF.Set(slot, c*w.multOf(slot))
 	if w.haltedSlot[slot] {
 		w.haltedCount += c - old
 	}
@@ -566,34 +526,22 @@ func (w *World[S]) bumpMass(slot int, delta int64) {
 	w.sumS2 += m * m * delta
 }
 
-// setCountOnly updates a slot's multiplicity and the halted tally,
-// deferring both sampler syncs: the responsive-pair weights stay stale
-// until the caller syncPairs every touched slot (so a slot passing
-// through count zero mid-transition — a leader state relabeling, say —
-// never pushes its possibly-huge pair weights through zero, which would
-// thrash the alias sampler's mass-based rebuild policy), and the
-// agent-count sampler update is queued on countDirty (the batched block
-// never draws from countF; flushCounts settles it at block boundaries).
+// setCountOnly updates a slot's multiplicity, the halted tally and the
+// mass sums, deferring the pair-weight sync: the responsive-pair weights
+// stay stale until the caller syncPairs every touched slot (so a slot
+// passing through count zero mid-transition — a leader state relabeling,
+// say — never pushes its possibly-huge pair weights through zero, which
+// would thrash the alias sampler's mass-based rebuild policy).
 func (w *World[S]) setCountOnly(slot int, c int64) {
 	old := w.counts[slot]
 	if old == c {
 		return
 	}
 	w.counts[slot] = c
-	w.countDirty = append(w.countDirty, int32(slot))
 	if w.haltedSlot[slot] {
 		w.haltedCount += c - old
 	}
 	w.bumpMass(slot, c-old)
-}
-
-// flushCounts settles the deferred agent-count sampler updates. Flushing
-// by final value is idempotent, so duplicate dirty entries are harmless.
-func (w *World[S]) flushCounts() {
-	for _, slot := range w.countDirty {
-		w.countF.Set(int(slot), w.counts[slot]*w.multOf(int(slot)))
-	}
-	w.countDirty = w.countDirty[:0]
 }
 
 // syncPairs refreshes the weights of every responsive pair involving slot
@@ -741,81 +689,6 @@ func (w *World[S]) applyTransition(i, j int, na, nb S) {
 	}
 }
 
-// Step performs one exact scheduler step — a uniform random unordered agent
-// pair, like pop.World.Step — and reports whether it was effective. The
-// first agent is drawn by count weight, the second uniformly among the
-// remaining n-1, which realizes a uniform ordered pair; Run is the
-// compressed path that skips the ineffective steps instead.
-func (w *World[S]) Step() bool {
-	w.flushCounts() // settle any deferred batched-block updates
-	w.steps++
-	i, ok := w.countF.Sample(w.rng)
-	if !ok {
-		panic("urn: empty population")
-	}
-	// Withdraw one agent of slot i (its full weight under a rate profile)
-	// before drawing the partner.
-	w.countF.Add(i, -w.multOf(i))
-	j, ok := w.countF.Sample(w.rng)
-	w.countF.Add(i, w.multOf(i))
-	if !ok {
-		panic("urn: population size 1")
-	}
-	a, b := w.states[i], w.states[j]
-	na, nb, effective := w.proto.Apply(a, b)
-	if !effective {
-		return false
-	}
-	w.effective++
-	w.removeOne(a)
-	w.removeOne(b)
-	w.addOne(na)
-	w.addOne(nb)
-	return true
-}
-
-// StepEffective is the compressed scheduler's unit of work: it advances
-// the simulated clock past the next (geometrically distributed) run of
-// ineffective selections and applies the following effective interaction.
-// It returns false when the Options.MaxSteps budget is exhausted first —
-// including a frozen configuration with no responsive pair at all, which
-// the exact scheduler would churn through ineffectively until MaxSteps.
-func (w *World[S]) StepEffective() bool {
-	weight := w.pairF.Total()
-	if weight <= 0 {
-		w.steps = w.opts.MaxSteps
-		return false
-	}
-	if p := float64(weight) / float64(w.allPairs()); p < 1 {
-		// Failures before the first success of Bernoulli(p) are geometric:
-		// floor(log(U)/log(1-p)) for U uniform on (0, 1].
-		u := 1 - w.rng.Float64()
-		skip := math.Floor(math.Log(u) / math.Log1p(-p))
-		if rem := w.opts.MaxSteps - w.steps; skip >= float64(rem) {
-			w.steps = w.opts.MaxSteps
-			return false
-		}
-		w.steps += int64(skip)
-	}
-	w.steps++
-	w.effective++
-	ps, _ := w.pairF.Sample(w.rng)
-	i, j := int(w.pairAB[ps][0]), int(w.pairAB[ps][1])
-	a, b := w.states[i], w.states[j]
-	if i != j && w.rng.Int63n(2) == 1 {
-		a, b = b, a
-	}
-	na, nb, effective := w.proto.Apply(a, b)
-	if !effective {
-		panic("urn: Apply effectiveness depends on argument order; every scheduling policy of the compressed engine (see internal/sched) requires order-independent effectiveness")
-	}
-	w.removeOne(a)
-	w.removeOne(b)
-	w.addOne(na)
-	w.addOne(nb)
-	return true
-}
-
 // stopped reports whether a halting stop condition currently holds.
 // Halted agents waiting in the crash/freeze pools still count; under
 // churn "all" means all present agents.
@@ -829,13 +702,14 @@ func (w *World[S]) stopped() bool {
 		(w.opts.StopWhenAllHalted && all > 0 && h == all)
 }
 
-// stepBlock runs up to limit effective interactions on the batched fast
-// path. Each draw is the same geometric-skip-then-weighted-pair law as
-// StepEffective, conditioned on the exactly-maintained weights, but the
-// transition bookkeeping goes through applyTransition and the geometric
-// log denominator is cached while the responsive weight W is unchanged.
-// It reports whether a stop condition fired and whether the step budget
-// (or a frozen configuration) exhausted the run.
+// stepBlock runs up to limit effective interactions. Each draw advances
+// the simulated clock past a geometric run of ineffective selections —
+// Bernoulli(W/C) failures of the exact scheduler, floor(log(U)/log(1-p))
+// for U uniform on (0, 1] — and then applies a responsive pair drawn by
+// weight, conditioned on the exactly-maintained weights. The log
+// denominator is cached while W and C are unchanged. It reports whether a
+// stop condition fired and whether the step budget (or a frozen
+// configuration) exhausted the run.
 func (w *World[S]) stepBlock(limit int64) (halted, exhausted bool) {
 	// Under a fault profile geometric skips must not jump over a pending
 	// fault event: the block's step horizon is capped at the next firing
@@ -904,19 +778,6 @@ func (w *World[S]) stepBlock(limit int64) (halted, exhausted bool) {
 	return false, false
 }
 
-// samplerRebuilds sums alias-table rebuilds across the two samplers
-// (zero for Fenwick, which has no tables to rebuild).
-func (w *World[S]) samplerRebuilds() int64 {
-	var total int64
-	if r, ok := w.countF.(interface{ Rebuilds() int64 }); ok {
-		total += r.Rebuilds()
-	}
-	if r, ok := w.pairF.(interface{ Rebuilds() int64 }); ok {
-		total += r.Rebuilds()
-	}
-	return total
-}
-
 // SetMetrics attaches a fleet-wide metrics sink. Call it after any
 // snapshot restore: current totals become the published baseline, so a
 // resumed run only publishes steps it simulated itself. Publishing
@@ -926,7 +787,7 @@ func (w *World[S]) SetMetrics(m *obs.EngineMetrics) {
 	w.metrics = m
 	w.pubSteps, w.pubEffective = w.steps, w.effective
 	w.pubFault, w.pubFlush = w.faultEvents, w.blockFlushes
-	w.pubRebuilds = w.samplerRebuilds()
+	w.pubRebuilds = w.pairF.Rebuilds()
 	if m != nil {
 		m.Runs.Inc()
 	}
@@ -945,7 +806,7 @@ func (w *World[S]) publishMetrics() {
 	w.metrics.Skipped.Add(stepsD - effD)
 	w.metrics.FaultEvents.Add(w.faultEvents - w.pubFault)
 	w.metrics.BlockFlushes.Add(w.blockFlushes - w.pubFlush)
-	rb := w.samplerRebuilds()
+	rb := w.pairF.Rebuilds()
 	w.metrics.AliasRebuilds.Add(rb - w.pubRebuilds)
 	w.pubSteps, w.pubEffective = w.steps, w.effective
 	w.pubFault, w.pubFlush = w.faultEvents, w.blockFlushes
@@ -966,19 +827,14 @@ func (w *World[S]) Run() Result {
 // runs cost no work, so the exact scheduler's step-count cadence would be
 // meaningless here — and stops the run with pop.ReasonCanceled. The
 // Progress callback fires on the same cadence with the simulated step
-// count. With Options.BatchSize > 1 (the default) effective interactions
-// run in blocks aligned to the CheckEvery cadence, so the observable
-// check/progress points are unchanged; BatchSize = 1 forces the
-// per-interaction reference loop.
+// count. Effective interactions run in blocks aligned to the CheckEvery
+// cadence, so a check or progress point always falls on a block boundary.
 func (w *World[S]) RunContext(ctx context.Context) Result {
 	if ctx.Err() != nil {
 		return w.result(pop.ReasonCanceled)
 	}
 	if w.stopped() {
 		return w.result(pop.ReasonHalted)
-	}
-	if w.batch <= 1 {
-		return w.runReference(ctx)
 	}
 	for w.steps < w.opts.MaxSteps {
 		if w.clock != nil {
@@ -989,12 +845,8 @@ func (w *World[S]) RunContext(ctx context.Context) Result {
 				return w.result(pop.ReasonHalted)
 			}
 		}
-		limit := w.opts.CheckEvery - w.effective%w.opts.CheckEvery
-		if b := int64(w.batch); limit > b {
-			limit = b
-		}
+		limit := min(w.opts.CheckEvery-w.effective%w.opts.CheckEvery, blockSize)
 		halted, exhausted := w.stepBlock(limit)
-		w.flushCounts()
 		w.blockFlushes++
 		if halted {
 			return w.result(pop.ReasonHalted)
@@ -1133,29 +985,6 @@ func (w *World[S]) departOne() {
 		}
 	}
 	w.present--
-}
-
-// runReference is the per-interaction compressed loop kept as the
-// reference implementation of the batched path.
-func (w *World[S]) runReference(ctx context.Context) Result {
-	for w.steps < w.opts.MaxSteps {
-		if !w.StepEffective() {
-			break
-		}
-		if w.stopped() {
-			return w.result(pop.ReasonHalted)
-		}
-		if w.effective%w.opts.CheckEvery == 0 {
-			if ctx.Err() != nil {
-				return w.result(pop.ReasonCanceled)
-			}
-			w.publishMetrics()
-			if w.opts.Progress != nil {
-				w.opts.Progress(w.steps)
-			}
-		}
-	}
-	return w.result(pop.ReasonMaxSteps)
 }
 
 func (w *World[S]) result(reason pop.StopReason) Result {

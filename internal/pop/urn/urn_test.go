@@ -155,32 +155,6 @@ func boolToInt(b bool) int {
 	return 0
 }
 
-// TestStepEffectiveRate drives the exact (uncompressed) Step and checks
-// that the effective fraction matches the responsive-pair probability
-// 21/45 of colorProto on n=10 with 3 ones.
-func TestStepEffectiveRate(t *testing.T) {
-	w := New(10, colorProto{ones: 3}, pop.Options{Seed: 3})
-	const trials = 50000
-	eff := 0
-	for i := 0; i < trials; i++ {
-		if w.Step() {
-			eff++
-		}
-	}
-	p := 21.0 / 45.0
-	mean := p * trials
-	if got := float64(eff); math.Abs(got-mean) > 5*math.Sqrt(mean*(1-p)) {
-		t.Fatalf("effective steps = %v, want ~%v", got, mean)
-	}
-	if w.Steps() != trials || w.Effective() != int64(eff) {
-		t.Fatalf("counters steps=%d effective=%d", w.Steps(), w.Effective())
-	}
-	// Swapping preserves the multiset.
-	if w.Count(1) != 3 || w.Count(0) != 7 {
-		t.Fatalf("multiset drifted: %d ones, %d zeros", w.Count(1), w.Count(0))
-	}
-}
-
 // TestGeometricSkipMatchesGeometricLaw runs the compressed scheduler on a
 // configuration with exactly one responsive agent pair, where the halting
 // step is geometric with mean C = n(n-1)/2, and checks mean and halting
@@ -271,23 +245,22 @@ func TestAsymmetricEffectivenessPanics(t *testing.T) {
 	New(4, oneWay, pop.Options{Seed: 1})
 }
 
-// TestStepEffectiveZeroAllocs guards the urn hot loop: after warm-up, the
-// skip-and-apply unit must not allocate, even though every event retires
-// one token slot and allocates another (slot, pair and map churn included).
+// TestStepEffectiveZeroAllocs guards the urn hot loop per effective
+// interaction: after warm-up, a one-interaction stepBlock must not
+// allocate, even though every event retires one token slot and allocates
+// another (slot, pair and map churn included).
 func TestStepEffectiveZeroAllocs(t *testing.T) {
 	w := New(1000, tokenProto{k: 6, cycle: 40}, pop.Options{Seed: 1, MaxSteps: 1 << 60})
-	for i := 0; i < 500; i++ {
-		if !w.StepEffective() {
-			t.Fatal("token world froze during warm-up")
-		}
+	if !advance(w, 500) {
+		t.Fatal("token world froze during warm-up")
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		if !w.StepEffective() {
+		if !advance(w, 1) {
 			t.Fatal("token world froze")
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("StepEffective allocates %v per event in steady state, want 0", allocs)
+		t.Fatalf("stepBlock allocates %v per event in steady state, want 0", allocs)
 	}
 }
 
@@ -298,7 +271,7 @@ func TestTokenChurnRecyclesSlots(t *testing.T) {
 	p := tokenProto{k: 6, cycle: 40}
 	w := New(300, p, pop.Options{Seed: 9, MaxSteps: 1 << 60})
 	for i := 0; i < 5000; i++ {
-		if !w.StepEffective() {
+		if !advance(w, 1) {
 			t.Fatal("token world froze")
 		}
 		if w.Distinct() > p.k+1 {
@@ -319,24 +292,32 @@ func TestTokenChurnRecyclesSlots(t *testing.T) {
 }
 
 // TestStepEffectiveZeroAllocsWithMetrics proves instrumentation never
-// costs the urn hot loop an allocation: with a metrics sink attached,
-// the skip-and-apply unit plus a per-event delta publish stays off the
+// costs the urn hot loop an allocation: with a metrics sink attached, a
+// one-interaction stepBlock plus a per-event delta publish stays off the
 // heap (counters are local int64s, the publish is atomic adds).
 func TestStepEffectiveZeroAllocsWithMetrics(t *testing.T) {
 	w := New(1000, tokenProto{k: 6, cycle: 40}, pop.Options{Seed: 1, MaxSteps: 1 << 60})
 	w.SetMetrics(obs.NewEngineMetrics(obs.NewRegistry(), "urn"))
-	for i := 0; i < 500; i++ {
-		if !w.StepEffective() {
-			t.Fatal("token world froze during warm-up")
-		}
+	if !advance(w, 500) {
+		t.Fatal("token world froze during warm-up")
 	}
 	allocs := testing.AllocsPerRun(500, func() {
-		if !w.StepEffective() {
+		if !advance(w, 1) {
 			t.Fatal("token world froze")
 		}
 		w.publishMetrics()
 	})
 	if allocs != 0 {
-		t.Fatalf("instrumented StepEffective allocates %v per event, want 0", allocs)
+		t.Fatalf("instrumented stepBlock allocates %v per event, want 0", allocs)
 	}
+}
+
+// advance runs up to k effective interactions through stepBlock, the
+// engine's only stepping path, and reports whether all k ran (false when
+// a stop condition, the step budget or a frozen configuration ended the
+// block first).
+func advance(w *World[int], k int64) bool {
+	start := w.effective
+	w.stepBlock(k)
+	return w.effective-start == k
 }

@@ -5,26 +5,6 @@ import (
 	"math"
 )
 
-// Sampler is the weighted-sampling contract shared by Fenwick and Alias:
-// integer slot weights with point updates and weighted draws. The urn
-// engine is generic over it (pop.Options.Sampler selects the
-// implementation), so the O(log m) Fenwick tree stays available as the
-// reference implementation beside the O(1) alias sampler.
-type Sampler interface {
-	Len() int
-	Grow(n int)
-	Add(i int, delta int64)
-	Set(i int, w int64)
-	Weight(i int) int64
-	Total() int64
-	Sample(r Rand) (int, bool)
-}
-
-var (
-	_ Sampler = (*Fenwick)(nil)
-	_ Sampler = (*Alias)(nil)
-)
-
 // excessCap bounds the side list of slots whose weight grew past their
 // stale table entry; exceeding it triggers a table rebuild, which keeps
 // every Sample scan O(excessCap) = O(1).

@@ -74,7 +74,7 @@ func TestAliasGrowPreservesWeights(t *testing.T) {
 // aliasChi2 samples the given sampler and returns the chi-squared
 // statistic against the exact expected frequencies, failing the test on a
 // draw from a zero-weight slot.
-func aliasChi2(t *testing.T, s Sampler, r Rand, trials int) (float64, int) {
+func aliasChi2(t *testing.T, s *Alias, r Rand, trials int) (float64, int) {
 	t.Helper()
 	counts := make([]int, s.Len())
 	for i := 0; i < trials; i++ {

@@ -1,8 +1,9 @@
 // Package wrand provides the sampling data structures used by the
-// uniform-random scheduler: two weighted samplers over integer slots
-// behind the common Sampler interface — the O(log n) Fenwick tree kept
-// as the reference and the O(1) Alias sampler with amortized incremental
-// updates — and an indexable set with O(1)
+// uniform-random scheduler: two weighted samplers over integer slots —
+// the O(log n) Fenwick tree behind the sim engine and the scheduler
+// policies of internal/sched, and the O(1) Alias sampler with amortized
+// incremental updates behind the urn engine's pair draws (its tests use
+// Fenwick as the oracle) — and an indexable set with O(1)
 // insert/remove/uniform-sample.
 //
 // All randomness flows through a caller-supplied source (any Rand — the
