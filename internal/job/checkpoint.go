@@ -5,21 +5,19 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"shapesol/internal/check"
-	"shapesol/internal/pop"
-	"shapesol/internal/pop/urn"
-	"shapesol/internal/sim"
+	"shapesol/internal/obs"
+	"shapesol/internal/sched"
 	"shapesol/internal/snap"
 )
 
 // This file is the snapshot plumbing between the Spec registry and the
-// engines: one generic runner adapter per engine. An adapter instantiated
-// with a protocol's concrete state type S *is* that protocol's state
+// engines: one generic runner adapter for every engine. The adapter
+// instantiated with a protocol's world type *is* that protocol's state
 // codec — its closure is the only place in the system that knows which
-// Memento[S] to gob-encode on capture and decode on restore, so generic
+// memento type to gob-encode on capture and decode on restore, so generic
 // engine state round-trips without a global registry of state types.
 //
-// Each adapter factors a spec's Run into build (construct the world, with
+// The adapter factors a spec's Run into build (construct the world, with
 // the checkpoint-aware progress callback attached), an optional restore
 // (install the snapshot's memento over the initial configuration), the
 // engine's RunContext, and read (extract the protocol outcome). The
@@ -62,14 +60,25 @@ func progressFn(j Job, capture func(steps int64) (*snap.Snapshot, error)) func(i
 	}
 }
 
-// popRunner adapts a pop-engine protocol (build + read-out) into a
-// snapshot-capable Spec.Run.
-func popRunner[S any](
-	build func(j Job, progress func(int64)) (*pop.World[S], error),
-	read func(ctx context.Context, j Job, w *pop.World[S], res pop.Result) (Outcome, error),
+// engine is the surface every engine world shares: a scheduler/fault
+// profile, a snapshot memento of type M, a metrics sink and a cancelable
+// run returning R.
+type engine[M, R any] interface {
+	ApplyProfile(sched.Profile) error
+	Memento() M
+	RestoreMemento(M) error
+	SetMetrics(*obs.EngineMetrics)
+	RunContext(context.Context) R
+}
+
+// runner adapts an engine protocol (build + read-out) into a
+// snapshot-capable Spec.Run. M and R are inferred from the world type W.
+func runner[W engine[M, R], M, R any](
+	build func(j Job, progress func(int64)) (W, error),
+	read func(ctx context.Context, j Job, w W, res R) (Outcome, error),
 ) func(context.Context, Job) (Outcome, error) {
 	return func(ctx context.Context, j Job) (Outcome, error) {
-		var w *pop.World[S]
+		var w W
 		capture := func(steps int64) (*snap.Snapshot, error) {
 			return encodeSnapshot(j, w.Memento(), steps)
 		}
@@ -85,121 +94,16 @@ func popRunner[S any](
 			}
 		}
 		if j.Restore != nil {
-			var m pop.Memento[S]
+			var m M
 			if err := snap.DecodeState(j.Restore.State, &m); err != nil {
 				return Outcome{}, err
 			}
-			if err := w.RestoreMemento(&m); err != nil {
+			if err := w.RestoreMemento(m); err != nil {
 				return Outcome{}, err
 			}
 		}
 		// Metrics attach after restore so the published baseline is the
 		// restored totals: a resumed run reports only its own work.
-		w.SetMetrics(j.Metrics)
-		res := w.RunContext(ctx)
-		return read(ctx, j, w, res)
-	}
-}
-
-// urnRunner is popRunner for the urn-compressed engine.
-func urnRunner[S comparable](
-	build func(j Job, progress func(int64)) (*urn.World[S], error),
-	read func(ctx context.Context, j Job, w *urn.World[S], res urn.Result) (Outcome, error),
-) func(context.Context, Job) (Outcome, error) {
-	return func(ctx context.Context, j Job) (Outcome, error) {
-		var w *urn.World[S]
-		capture := func(steps int64) (*snap.Snapshot, error) {
-			return encodeSnapshot(j, w.Memento(), steps)
-		}
-		w, err := build(j, progressFn(j, capture))
-		if err != nil {
-			return Outcome{}, err
-		}
-		if j.Params.Fault != nil {
-			if err := w.ApplyProfile(*j.Params.Fault); err != nil {
-				return Outcome{}, err
-			}
-		}
-		if j.Restore != nil {
-			var m urn.Memento[S]
-			if err := snap.DecodeState(j.Restore.State, &m); err != nil {
-				return Outcome{}, err
-			}
-			if err := w.RestoreMemento(&m); err != nil {
-				return Outcome{}, err
-			}
-		}
-		w.SetMetrics(j.Metrics)
-		res := w.RunContext(ctx)
-		return read(ctx, j, w, res)
-	}
-}
-
-// checkRunner is popRunner for the exhaustive verification engine: the
-// world is an Explorer and the memento a partially-explored frontier, but
-// the build/profile/restore/run/read shape — and the byte-identical
-// resume guarantee — are the same.
-func checkRunner[S comparable](
-	build func(j Job, progress func(int64)) (*check.Explorer[S], error),
-	read func(ctx context.Context, j Job, e *check.Explorer[S], res check.Result) (Outcome, error),
-) func(context.Context, Job) (Outcome, error) {
-	return func(ctx context.Context, j Job) (Outcome, error) {
-		var e *check.Explorer[S]
-		capture := func(steps int64) (*snap.Snapshot, error) {
-			return encodeSnapshot(j, e.Memento(), steps)
-		}
-		e, err := build(j, progressFn(j, capture))
-		if err != nil {
-			return Outcome{}, err
-		}
-		if j.Params.Fault != nil {
-			if err := e.ApplyProfile(*j.Params.Fault); err != nil {
-				return Outcome{}, err
-			}
-		}
-		if j.Restore != nil {
-			var m check.Memento[S]
-			if err := snap.DecodeState(j.Restore.State, &m); err != nil {
-				return Outcome{}, err
-			}
-			if err := e.RestoreMemento(m); err != nil {
-				return Outcome{}, err
-			}
-		}
-		e.SetMetrics(j.Metrics)
-		res := e.RunContext(ctx)
-		return read(ctx, j, e, res)
-	}
-}
-
-// simRunner is popRunner for the geometric engine.
-func simRunner[S any](
-	build func(j Job, progress func(int64)) (*sim.World[S], error),
-	read func(ctx context.Context, j Job, w *sim.World[S], res sim.Result) (Outcome, error),
-) func(context.Context, Job) (Outcome, error) {
-	return func(ctx context.Context, j Job) (Outcome, error) {
-		var w *sim.World[S]
-		capture := func(steps int64) (*snap.Snapshot, error) {
-			return encodeSnapshot(j, w.Memento(), steps)
-		}
-		w, err := build(j, progressFn(j, capture))
-		if err != nil {
-			return Outcome{}, err
-		}
-		if j.Params.Fault != nil {
-			if err := w.ApplyProfile(*j.Params.Fault); err != nil {
-				return Outcome{}, err
-			}
-		}
-		if j.Restore != nil {
-			var m sim.Memento[S]
-			if err := snap.DecodeState(j.Restore.State, &m); err != nil {
-				return Outcome{}, err
-			}
-			if err := w.RestoreMemento(&m); err != nil {
-				return Outcome{}, err
-			}
-		}
 		w.SetMetrics(j.Metrics)
 		res := w.RunContext(ctx)
 		return read(ctx, j, w, res)

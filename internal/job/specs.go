@@ -23,19 +23,13 @@ import (
 // facade used to hardcode (100M for the counting protocols and the
 // stabilizing tables, 300M for Square-Knowing-n, 500M for the universal
 // constructor and replication); the urn engine's default is effectively
-// unbounded, since it skips ineffective steps in O(1). Urn-engine jobs
-// run on pop.Options' engine defaults — the O(1) alias sampler and the
-// batched block loop — which the job schema deliberately does not
-// expose: the knobs (pop.Options.Sampler/BatchSize) select
-// statistically equivalent executions, not different results, so they
-// stay out of the job's cache identity.
+// unbounded, since it skips ineffective steps in O(1).
 //
-// Every spec's Run is built from an engine runner adapter (popRunner,
-// urnRunner, simRunner — see checkpoint.go), which factors the execution
-// into build / restore / run / read-out. The adapter instantiated with
-// the protocol's concrete state type doubles as the protocol's snapshot
-// state codec, so every protocol × engine pair below is checkpointable
-// and resumable.
+// Every spec's Run is built from the generic runner adapter (see
+// checkpoint.go), which factors the execution into build / restore / run
+// / read-out for any engine world. The adapter instantiated with the
+// protocol's world type doubles as the protocol's snapshot state codec,
+// so every protocol × engine pair below is checkpointable and resumable.
 
 // faultField is the scheduler/fault-injection parameter; every spec takes
 // it because every engine world accepts ApplyProfile. The object's own
@@ -61,7 +55,7 @@ func simOutcome(payload any, steps int64, reason sim.StopReason, halted bool) Ou
 }
 
 func init() {
-	runUpperBoundPop := popRunner(
+	runUpperBoundPop := runner(
 		func(j Job, progress func(int64)) (*pop.World[counting.UBState], error) {
 			return counting.NewUpperBoundWorld(j.Params.N, j.Params.B, j.Seed, j.MaxSteps, progress), nil
 		},
@@ -69,7 +63,7 @@ func init() {
 			out := counting.UpperBoundOutcomeOf(j.Params.B, w, res)
 			return popOutcome(out, out.Steps, res.Reason), nil
 		})
-	runUpperBoundUrn := urnRunner(
+	runUpperBoundUrn := runner(
 		func(j Job, progress func(int64)) (*urn.World[counting.UBState], error) {
 			return counting.NewUpperBoundUrnWorld(j.Params.N, j.Params.B, j.Seed, j.MaxSteps, progress), nil
 		},
@@ -77,7 +71,7 @@ func init() {
 			out := counting.UpperBoundUrnOutcomeOf(j.Params.B, w, res)
 			return popOutcome(out, out.Steps, res.Reason), nil
 		})
-	runUpperBoundCheck := checkRunner(
+	runUpperBoundCheck := runner(
 		func(j Job, progress func(int64)) (*check.Explorer[counting.UBState], error) {
 			return counting.NewUpperBoundCheckExplorer(j.Params.N, j.Params.B, j.MaxSteps, progress), nil
 		},
@@ -129,7 +123,7 @@ func init() {
 			{Name: "b", Usage: "repeated-window length", Default: 2, Min: 1},
 			faultField,
 		},
-		Run: popRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*pop.World[*counting.SimpleUIDState], error) {
 				return counting.NewSimpleUIDWorld(j.Params.N, j.Params.B, j.Seed, j.MaxSteps, progress), nil
 			},
@@ -150,7 +144,7 @@ func init() {
 			{Name: "b", Usage: "count1 threshold before second marks", Default: 4, Min: 1},
 			faultField,
 		},
-		Run: popRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*pop.World[*counting.UIDState], error) {
 				return counting.NewUIDWorld(j.Params.N, j.Params.B, j.Seed, j.MaxSteps, progress), nil
 			},
@@ -170,7 +164,7 @@ func init() {
 			{Name: "n", Usage: "population size", Required: true, Min: 2},
 			faultField,
 		},
-		Run: popRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*pop.World[counting.ObsState], error) {
 				return counting.NewLeaderlessWorld(counting.TwoZerosProtocol(), j.Params.N, j.Seed, j.MaxSteps, progress), nil
 			},
@@ -191,7 +185,7 @@ func init() {
 			{Name: "b", Usage: "leader head start", Default: 3, Min: 1},
 			faultField,
 		},
-		Run: simRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*sim.World[core.CountLineState], error) {
 				return core.NewCountLineWorld(j.Params.N, j.Params.B, j.Seed, j.MaxSteps, progress), nil
 			},
@@ -212,7 +206,7 @@ func init() {
 			{Name: "n", Usage: "population size (default d*d)", Min: 1},
 			faultField,
 		},
-		Run: simRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*sim.World[core.SquareKnowingNState], error) {
 				n := j.Params.N
 				if n == 0 {
@@ -226,7 +220,7 @@ func init() {
 			}),
 	})
 
-	runUniversal := simRunner(
+	runUniversal := runner(
 		func(j Job, progress func(int64)) (*sim.World[core.UniversalState], error) {
 			lang, err := shapes.ByName(j.Params.Lang)
 			if err != nil {
@@ -287,7 +281,7 @@ func init() {
 			{Name: "lang", Usage: "shape language", DefaultStr: "star"},
 			faultField,
 		},
-		Run: simRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*sim.World[core.Parallel3DState], error) {
 				lang, err := shapes.ByName(j.Params.Lang)
 				if err != nil {
@@ -316,7 +310,7 @@ func init() {
 			{Name: "free", Usage: "free nodes (default the paper's 2|R_G|-|G|)"},
 			faultField,
 		},
-		Run: simRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*sim.World[core.ReplicationState], error) {
 				g := j.Params.Shape
 				free := j.Params.Free
@@ -342,7 +336,7 @@ func init() {
 			{Name: "n", Usage: "population size", Required: true, Min: 1},
 			faultField,
 		},
-		Run: simRunner(
+		Run: runner(
 			func(j Job, progress func(int64)) (*sim.World[rules.State], error) {
 				return core.NewStabilizeWorld(j.Params.Table, j.Params.N, j.Seed, j.MaxSteps, progress)
 			},
