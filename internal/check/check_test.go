@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"shapesol/internal/check"
+	"shapesol/internal/obs"
 	"shapesol/internal/sched"
 )
 
@@ -294,5 +295,31 @@ func TestProgressCadence(t *testing.T) {
 		if c%2 != 0 {
 			t.Fatalf("progress call %d at %d, want multiples of CheckEvery", i, c)
 		}
+	}
+}
+
+// TestMetricsPublishDeltas: with a metrics sink attached, the BFS
+// counters publish exactly the work done after SetMetrics — every
+// expansion, and every discovery but the root, which New made — the run
+// is counted once, and the frontier gauge returns to zero at the end.
+func TestMetricsPublishDeltas(t *testing.T) {
+	m := obs.NewEngineMetrics(obs.NewRegistry(), "check")
+	e := check.New(16, haltProto{}, check.Options{CheckEvery: 2})
+	e.SetMetrics(m)
+	res := e.Run()
+	if res.Reason != check.ReasonExplored {
+		t.Fatalf("reason = %v, want explored", res.Reason)
+	}
+	if got := m.Expanded.Value(); got != res.Expanded {
+		t.Fatalf("expanded counter %d, run expanded %d", got, res.Expanded)
+	}
+	if got := m.Discovered.Value(); got != res.Configs-1 {
+		t.Fatalf("discovered counter %d, run discovered %d beyond the root", got, res.Configs-1)
+	}
+	if got := m.Runs.Value(); got != 1 {
+		t.Fatalf("runs counter %d, want 1", got)
+	}
+	if got := m.Frontier.Value(); got != 0 {
+		t.Fatalf("frontier gauge %v after the run, want 0", got)
 	}
 }

@@ -291,6 +291,37 @@ func TestTokenChurnRecyclesSlots(t *testing.T) {
 	}
 }
 
+// TestManyStatesUseSlotMap drives more than scanThreshold distinct
+// states, so state lookup runs through the slotOf map (rebuilt after the
+// scan-mode phase of New), and checks the census stays exact while the
+// token's slot is relabeled every event.
+func TestManyStatesUseSlotMap(t *testing.T) {
+	p := tokenProto{k: 24, cycle: 40}
+	w := New(500, p, pop.Options{Seed: 4, MaxSteps: 1 << 60})
+	if w.Distinct() <= scanThreshold {
+		t.Fatalf("%d distinct states, want more than %d", w.Distinct(), scanThreshold)
+	}
+	if !advance(w, 5000) {
+		t.Fatal("token world froze")
+	}
+	var total int64
+	w.ForEach(func(s int, c int64) {
+		total += c
+		if got := w.Count(s); got != c {
+			t.Fatalf("Count(%d) = %d, ForEach says %d", s, got, c)
+		}
+	})
+	if total != 500 {
+		t.Fatalf("population drifted to %d, want 500", total)
+	}
+	if tok, ok := w.FindState(func(s int) bool { return s >= p.k }); !ok || w.Count(tok) != 1 {
+		t.Fatalf("token state %d (found %v) has count %d, want 1", tok, ok, w.Count(tok))
+	}
+	if got := w.Count(-1); got != 0 {
+		t.Fatalf("absent state counted %d", got)
+	}
+}
+
 // TestStepEffectiveZeroAllocsWithMetrics proves instrumentation never
 // costs the urn hot loop an allocation: with a metrics sink attached, a
 // one-interaction stepBlock plus a per-event delta publish stays off the
