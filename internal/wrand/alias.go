@@ -106,19 +106,6 @@ func (a *Alias) Weight(i int) int64 { return a.weights[i] }
 // Total returns the sum of all weights.
 func (a *Alias) Total() int64 { return a.total }
 
-// Add adds delta to the weight of slot i, panicking if the result would
-// go negative (matching Fenwick.Add).
-func (a *Alias) Add(i int, delta int64) {
-	if i < 0 || i >= len(a.weights) {
-		panic(fmt.Sprintf("wrand: slot %d out of range [0,%d)", i, len(a.weights)))
-	}
-	w := a.weights[i] + delta
-	if w < 0 {
-		panic(fmt.Sprintf("wrand: slot %d weight would become negative", i))
-	}
-	a.Set(i, w)
-}
-
 // Set sets the weight of slot i, maintaining the drift bookkeeping and
 // rebuilding the table when the amortization budget is exhausted.
 func (a *Alias) Set(i int, w int64) {

@@ -9,10 +9,10 @@ import (
 
 func TestAliasWeightsAndTotal(t *testing.T) {
 	a := NewAlias(8)
-	a.Add(0, 3)
-	a.Add(5, 10)
+	a.Set(0, 3)
+	a.Set(5, 10)
 	a.Set(5, 7)
-	a.Add(7, 1)
+	a.Set(7, 1)
 	if got := a.Total(); got != 11 {
 		t.Fatalf("total = %d, want 11", got)
 	}
@@ -38,7 +38,7 @@ func TestAliasNegativePanics(t *testing.T) {
 		}
 	}()
 	a := NewAlias(1)
-	a.Add(0, -1)
+	a.Set(0, -1)
 }
 
 func TestAliasGrowPreservesWeights(t *testing.T) {
