@@ -89,13 +89,31 @@ func TestSnapshotCaptureIsPassive(t *testing.T) {
 	})
 }
 
-// TestMementoSamplerStates pins the capture contract of the sampler
-// field: a memento carries the pair sampler's alias drift state.
+// TestMementoSamplerStates pins the contract of the sampler field: a
+// memento carries the pair sampler's alias drift state, and a memento
+// without it (written before the sampler exported its state) restores
+// onto a freshly built table, conserving the population.
 func TestMementoSamplerStates(t *testing.T) {
-	w := New(200, tokenProto{k: 6, cycle: 40}, pop.Options{Seed: 2, MaxSteps: 1 << 50})
+	opts := pop.Options{Seed: 2, MaxSteps: 1 << 50}
+	w := New(200, tokenProto{k: 6, cycle: 40}, opts)
 	advance(w, 200)
-	if m := w.Memento(); m.PairSampler == nil {
+	m := w.Memento()
+	if m.PairSampler == nil {
 		t.Fatal("memento dropped the pair sampler state")
+	}
+
+	m.PairSampler = nil
+	fresh := New(200, tokenProto{k: 6, cycle: 40}, opts)
+	if err := fresh.RestoreMemento(m); err != nil {
+		t.Fatalf("memento without sampler state rejected: %v", err)
+	}
+	if !advance(fresh, 200) {
+		t.Fatal("restored world froze")
+	}
+	var total int64
+	fresh.ForEach(func(s int, c int64) { total += c })
+	if total != 200 {
+		t.Fatalf("population drifted to %d after restore, want 200", total)
 	}
 }
 
