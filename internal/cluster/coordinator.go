@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -15,7 +17,6 @@ import (
 
 	"shapesol/internal/job"
 	"shapesol/internal/server"
-	"shapesol/internal/snap"
 )
 
 // Config parameterizes a Coordinator. The zero value is usable: Default
@@ -126,6 +127,12 @@ type record struct {
 	snapshot  []byte // latest mirrored checkpoint, or the uploaded resume snapshot
 }
 
+// withID names a new record as the job table admits it (Table.Add).
+func (rec *record) withID(id string) *record {
+	rec.id = id
+	return rec
+}
+
 func (rec *record) status() server.Status {
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
@@ -178,30 +185,29 @@ func (rec *record) applyStatus(st server.Status) (settled bool) {
 }
 
 // Coordinator fronts a fleet of shapesold workers behind the standalone
-// daemon's /v1 API: it validates and routes submissions by cache key
-// over a consistent-hash ring, proxies per-job reads to the owning
-// worker, mirrors running jobs' checkpoints, and on worker death
-// re-enqueues the lost jobs on survivors from their latest checkpoint.
-// Create with New, serve via ServeHTTP, stop with Shutdown.
+// daemon's /v1 API — the same handler set, with the coordinator as its
+// server.Backend: it routes submissions by cache key over a
+// consistent-hash ring, proxies per-job reads to the owning worker,
+// mirrors running jobs' checkpoints, and on worker death re-enqueues the
+// lost jobs on survivors from their latest checkpoint. Create with New,
+// serve via ServeHTTP, stop with Shutdown.
 type Coordinator struct {
 	cfg     Config
-	reg     *job.Registry
-	mux     *http.ServeMux
+	handler http.Handler
 	client  *http.Client
 	stream  *http.Client
-	cache   *resultCache
+	cache   *server.Cache[cachedResult]
 	metrics *clusterMetrics
 
 	// lastMirror is the UnixNano stamp of the last completed mirror
 	// pass, read by the shapesol_cluster_mirror_lag_seconds gauge.
 	lastMirror atomic.Int64
 
-	mu    sync.Mutex // guards nodes, ring, jobs, order, seq
+	jobs *server.Table[*record]
+
+	mu    sync.Mutex // guards nodes, ring
 	nodes map[string]*node
 	ring  *Ring
-	jobs  map[string]*record
-	order []string
-	seq   int64
 
 	draining atomic.Bool
 	done     chan struct{}
@@ -214,67 +220,48 @@ func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
 	c := &Coordinator{
 		cfg:    cfg,
-		reg:    cfg.Registry,
-		mux:    http.NewServeMux(),
 		client: cfg.Client,
 		stream: &http.Client{},
-		cache:  newResultCache(cfg.CacheSize),
+		cache:  server.NewCache[cachedResult](cfg.CacheSize),
 		nodes:  make(map[string]*node),
 		ring:   NewRing(cfg.VNodes),
-		jobs:   make(map[string]*record),
+		jobs:   server.NewTable("c", cfg.MaxJobs, func(rec *record) bool { return rec.status().State.Terminal() }),
 		done:   make(chan struct{}),
 	}
 	c.metrics = newClusterMetrics(c)
-	for _, rt := range c.routes() {
-		c.mux.HandleFunc(rt.pattern, c.metrics.instrument(rt.pattern, rt.handler))
-	}
+	c.handler = server.NewHandler(c, cfg.Registry, c.metrics.reg, c.routes()...)
 	c.wg.Add(1)
 	go c.maintain()
 	return c
 }
 
-// route mirrors internal/server's single-source route table; Routes
-// exposes the patterns for the API.md coverage test.
-type route struct {
-	pattern string
-	handler http.HandlerFunc
-}
-
-func (c *Coordinator) routes() []route {
-	return []route{
-		{"POST /v1/cluster/register", c.handleRegister},
-		{"POST /v1/cluster/heartbeat", c.handleHeartbeat},
-		{"GET /v1/cluster/nodes", c.handleNodes},
-		{"POST /v1/jobs", c.handleSubmit},
-		{"POST /v1/jobs/resume", c.handleResume},
-		{"GET /v1/jobs", c.handleList},
-		{"GET /v1/jobs/{id}", c.handleStatus},
-		{"GET /v1/jobs/{id}/result", c.handleResult},
-		{"GET /v1/jobs/{id}/snapshot", c.handleSnapshot},
-		{"DELETE /v1/jobs/{id}", c.handleCancel},
-		{"GET /v1/jobs/{id}/events", c.handleEvents},
-		{"GET /v1/jobs/{id}/trace", c.handleTrace},
-		{"GET /v1/protocols", c.handleProtocols},
-		{"GET /healthz", c.handleHealth},
-		{"GET /metrics", c.handleMetrics},
+// routes are the coordinator's membership routes, served beside the
+// shared /v1 surface (server.NewHandler) under the same route timer;
+// Routes exposes the patterns for the API.md coverage test.
+func (c *Coordinator) routes() []server.Route {
+	return []server.Route{
+		{Pattern: "POST /v1/cluster/register", Handler: c.handleRegister},
+		{Pattern: "POST /v1/cluster/heartbeat", Handler: c.handleHeartbeat},
+		{Pattern: "GET /v1/cluster/nodes", Handler: c.handleNodes},
 	}
 }
 
-// Routes returns the mux patterns of every endpoint a Coordinator
-// registers, in registration order.
+// Routes returns the mux patterns of the membership routes a
+// Coordinator registers beside server.Routes, in registration order.
 func Routes() []string {
 	var c *Coordinator // handlers are method values, never invoked here
 	rts := c.routes()
 	out := make([]string, len(rts))
 	for i, rt := range rts {
-		out[i] = rt.pattern
+		out[i] = rt.Pattern
 	}
 	return out
 }
 
-// ServeHTTP dispatches to the coordinator's routes.
+// ServeHTTP serves the shared /v1 surface with c as its Backend, plus
+// the membership routes.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	c.mux.ServeHTTP(w, r)
+	c.handler.ServeHTTP(w, r)
 }
 
 // Shutdown stops the maintenance loop and rejects new submissions.
@@ -405,8 +392,8 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, r *http.Request) {
 	for _, n := range c.nodes {
 		nodes = append(nodes, n)
 	}
-	recs := c.recordsLocked()
 	c.mu.Unlock()
+	recs := c.jobs.All()
 
 	byNode := make(map[string][]NodeJob)
 	for _, rec := range recs {
@@ -437,170 +424,51 @@ func (c *Coordinator) handleNodes(w http.ResponseWriter, r *http.Request) {
 // ---------------------------------------------------------------------
 // Submission and routing.
 
-func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		server.WriteError(w, http.StatusServiceUnavailable, "coordinator draining")
-		return
-	}
-	var j job.Job
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&j); err != nil {
-		server.WriteError(w, http.StatusBadRequest, "bad job JSON: "+err.Error())
-		return
-	}
-	nj, _, err := c.reg.Normalize(j)
-	if err != nil {
-		server.WriteValidationError(w, err)
-		return
-	}
-	key := nj.CacheKey()
-	if res, raw, ok := c.cache.Get(key); ok {
-		rec := c.newRecord(nj, key, nil)
-		rec.mu.Lock()
-		rec.state = server.StateDone
-		rec.cached = true
-		rec.result = &res
-		rec.resultRaw = raw
-		rec.mu.Unlock()
-		c.traceEvent(rec, server.TraceCacheHit, "coordinator cache", 0)
-		c.traceEvent(rec, server.TraceSettled, string(server.StateDone), res.Steps)
-		server.WriteJSON(w, http.StatusOK, rec.status())
-		return
-	}
-	body, err := json.Marshal(nj)
-	if err != nil {
-		server.WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	rec := c.newRecord(nj, key, body)
-	c.placeAndRespond(w, rec, nil)
+// cachedResult is a coordinator cache entry: the decoded envelope for
+// the Status, and the owner's raw /result bytes. Those bytes are
+// golden-pinned, and a Result decoded from JSON carries its payload as a
+// map whose re-encoding reorders keys, so a coordinator cache hit
+// replays the original bytes, never a re-marshal.
+type cachedResult struct {
+	res job.Result
+	raw []byte
 }
 
-// handleResume admits snapshot bytes cluster-wide: the embedded job is
-// validated and routed by its cache key like any submission, and the
-// snapshot itself is kept as the record's handoff state, so a worker
-// death before the first mirrored checkpoint still resumes from the
-// uploaded bytes rather than from scratch.
-func (c *Coordinator) handleResume(w http.ResponseWriter, r *http.Request) {
-	if c.draining.Load() {
-		server.WriteError(w, http.StatusServiceUnavailable, "coordinator draining")
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, "read snapshot: "+err.Error())
-		return
-	}
-	snapshot, err := snap.Decode(data)
-	if err != nil {
-		server.WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	nj, _, err := c.reg.ResumeJob(snapshot)
-	if err != nil {
-		server.WriteValidationError(w, err)
-		return
-	}
-	key := nj.CacheKey()
-	if res, raw, ok := c.cache.Get(key); ok {
-		rec := c.newRecord(nj, key, nil)
-		rec.mu.Lock()
-		rec.state = server.StateDone
-		rec.cached = true
-		rec.resumed = true
-		rec.result = &res
-		rec.resultRaw = raw
-		rec.mu.Unlock()
-		c.traceEvent(rec, server.TraceCacheHit, "coordinator cache", 0)
-		c.traceEvent(rec, server.TraceSettled, string(server.StateDone), res.Steps)
-		server.WriteJSON(w, http.StatusOK, rec.status())
-		return
-	}
-	body, err := json.Marshal(nj)
-	if err != nil {
-		server.WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	rec := c.newRecord(nj, key, body)
-	rec.mu.Lock()
-	rec.resumed = true
-	rec.snapshot = data
-	rec.mu.Unlock()
-	c.placeAndRespond(w, rec, data)
-}
+// Draining implements server.Backend: true once Shutdown has begun.
+func (c *Coordinator) Draining() bool { return c.draining.Load() }
 
-// newRecord registers a fresh record under the next coordinator id.
-func (c *Coordinator) newRecord(nj job.Job, key string, body []byte) *record {
-	c.mu.Lock()
-	c.seq++
+// Admit implements server.Backend cluster-wide. A coordinator cache hit
+// is answered 200 without a network hop; otherwise the job is routed by
+// its cache key. A resume's snapshot is kept as the record's handoff
+// state, so a worker death before the first mirrored checkpoint still
+// resumes from the uploaded bytes rather than from scratch.
+func (c *Coordinator) Admit(w http.ResponseWriter, nj job.Job, _ *job.Spec, snapshot []byte) {
 	rec := &record{
-		id:       fmt.Sprintf("c%d", c.seq),
-		key:      key,
-		body:     body,
+		key:      nj.CacheKey(),
 		protocol: nj.Protocol,
 		engine:   nj.Engine,
 		seed:     nj.Seed,
 		state:    server.StateQueued,
+		resumed:  snapshot != nil,
 	}
-	c.jobs[rec.id] = rec
-	c.order = append(c.order, rec.id)
-	c.pruneLocked()
-	c.mu.Unlock()
+	if hit, ok := c.cache.Get(rec.key); ok {
+		rec.state, rec.cached, rec.result, rec.resultRaw = server.StateDone, true, &hit.res, hit.raw
+		c.jobs.Add(rec.withID)
+		c.traceEvent(rec, server.TraceSubmitted, string(nj.Engine)+" "+nj.Protocol, 0)
+		c.traceEvent(rec, server.TraceCacheHit, "coordinator cache", 0)
+		c.traceEvent(rec, server.TraceSettled, string(server.StateDone), hit.res.Steps)
+		server.WriteJSON(w, http.StatusOK, rec.status())
+		return
+	}
+	body, err := json.Marshal(nj)
+	if err != nil {
+		server.WriteError(w, http.StatusInternalServerError, err.Error())
+		return
+	}
+	rec.body, rec.snapshot = body, snapshot
+	c.jobs.Add(rec.withID)
 	c.traceEvent(rec, server.TraceSubmitted, string(nj.Engine)+" "+nj.Protocol, 0)
-	return rec
-}
-
-// pruneLocked evicts oldest-first terminal records beyond MaxJobs.
-func (c *Coordinator) pruneLocked() {
-	if len(c.jobs) <= c.cfg.MaxJobs {
-		return
-	}
-	kept := c.order[:0]
-	for i, id := range c.order {
-		rec := c.jobs[id]
-		if len(c.jobs) > c.cfg.MaxJobs && rec.status().State.Terminal() {
-			delete(c.jobs, id)
-			continue
-		}
-		if len(c.jobs) <= c.cfg.MaxJobs {
-			kept = append(kept, c.order[i:]...)
-			break
-		}
-		kept = append(kept, id)
-	}
-	c.order = kept
-}
-
-// removeRecord forgets a record whose id was never exposed (placement
-// failed at admission time).
-func (c *Coordinator) removeRecord(id string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.jobs[id]; !ok {
-		return
-	}
-	delete(c.jobs, id)
-	for i, have := range c.order {
-		if have == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-}
-
-func (c *Coordinator) recordsLocked() []*record {
-	out := make([]*record, 0, len(c.order))
-	for _, id := range c.order {
-		out = append(out, c.jobs[id])
-	}
-	return out
-}
-
-func (c *Coordinator) records() []*record {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.recordsLocked()
+	c.placeAndRespond(w, rec, snapshot)
 }
 
 // placeAndRespond routes a just-admitted record and writes the outcome:
@@ -611,12 +479,12 @@ func (c *Coordinator) records() []*record {
 func (c *Coordinator) placeAndRespond(w http.ResponseWriter, rec *record, resumeData []byte) {
 	code, errBody, err := c.place(rec, resumeData)
 	if err != nil {
-		c.removeRecord(rec.id)
+		c.jobs.Remove(rec.id)
 		server.WriteError(w, http.StatusServiceUnavailable, err.Error())
 		return
 	}
 	if errBody != nil {
-		c.removeRecord(rec.id)
+		c.jobs.Remove(rec.id)
 		w.Header().Set("Content-Type", "application/json")
 		w.WriteHeader(code)
 		w.Write(errBody) //nolint:errcheck // nothing to do about a failed response write
@@ -681,13 +549,11 @@ func (c *Coordinator) place(rec *record, resumeData []byte) (int, []byte, error)
 		rec.pending = false
 		rec.mu.Unlock()
 		c.traceEvent(rec, TraceRouted, owner, 0)
-		if rec.applyStatus(st) {
-			c.traceEvent(rec, server.TraceSettled, string(st.State), st.Steps)
-		}
-		if st.State == server.StateDone && st.Result != nil {
-			// A cache hit on the worker: remember it coordinator-side too
-			// (raw bytes arrive with the first /result proxy).
-			c.cache.Put(rec.key, *st.Result, nil)
+		c.settle(rec, st)
+		if st.State == server.StateDone {
+			// A cache hit on the worker: pull its raw bytes now, so the
+			// coordinator cache only ever holds entries it can replay.
+			c.mirrorResult(rec, ownerURL+"/v1/jobs/"+st.ID)
 		}
 		return resp.StatusCode, nil, nil
 	}
@@ -696,15 +562,20 @@ func (c *Coordinator) place(rec *record, resumeData []byte) (int, []byte, error)
 // ---------------------------------------------------------------------
 // Per-job proxying.
 
-func (c *Coordinator) recordFor(w http.ResponseWriter, r *http.Request) (*record, bool) {
-	c.mu.Lock()
-	rec, ok := c.jobs[r.PathValue("id")]
-	c.mu.Unlock()
-	if !ok {
-		server.WriteError(w, http.StatusNotFound, "no such job "+r.PathValue("id"))
-		return nil, false
+// Jobs implements server.Backend.
+func (c *Coordinator) Jobs() []server.Status {
+	recs := c.jobs.All()
+	out := make([]server.Status, len(recs))
+	for i, rec := range recs {
+		out[i] = rec.status()
 	}
-	return rec, true
+	return out
+}
+
+// Job implements server.Backend.
+func (c *Coordinator) Job(id string) (server.Handle, bool) {
+	rec, ok := c.jobs.Get(id)
+	return handle{c, rec}, ok
 }
 
 // owner returns the record's current assignment and the node's URL.
@@ -724,6 +595,37 @@ func (c *Coordinator) owner(rec *record) (name, url string, ok bool) {
 	return name, n.url, true
 }
 
+// jobURL returns the record's job URL on its owning worker,
+// <worker>/v1/jobs/<worker-side id>; ok is false while it has no owner.
+func (c *Coordinator) jobURL(rec *record) (string, bool) {
+	_, url, ok := c.owner(rec)
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	return url + "/v1/jobs/" + rec.remoteID, ok
+}
+
+// get fetches url with the unary client; a non-200 answer is an error.
+func (c *Coordinator) get(url string) ([]byte, error) {
+	resp, err := c.client.Get(url)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err == nil && resp.StatusCode != http.StatusOK {
+		err = fmt.Errorf("%s: HTTP %d", url, resp.StatusCode)
+	}
+	return body, err
+}
+
+// settle folds a Status from the owning worker into the record, tracing
+// the settlement when this call is the one that settled it.
+func (c *Coordinator) settle(rec *record, st server.Status) {
+	if rec.applyStatus(st) {
+		c.traceEvent(rec, server.TraceSettled, string(st.State), st.Steps)
+	}
+}
+
 // refresh polls the owning worker for the record's Status and folds it
 // in (fetching the raw result bytes on completion). Best-effort: on any
 // failure the record keeps its last known state.
@@ -731,54 +633,34 @@ func (c *Coordinator) refresh(rec *record) {
 	if rec.status().State.Terminal() {
 		return
 	}
-	_, url, ok := c.owner(rec)
+	url, ok := c.jobURL(rec)
 	if !ok {
 		return
 	}
-	rec.mu.Lock()
-	remoteID := rec.remoteID
-	rec.mu.Unlock()
-	resp, err := c.client.Get(url + "/v1/jobs/" + remoteID)
-	if err != nil {
-		return
-	}
-	body, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return
-	}
+	body, err := c.get(url)
 	var st server.Status
-	if err := json.Unmarshal(body, &st); err != nil {
+	if err != nil || json.Unmarshal(body, &st) != nil {
 		return
 	}
-	if rec.applyStatus(st) {
-		c.traceEvent(rec, server.TraceSettled, string(st.State), st.Steps)
-	}
+	c.settle(rec, st)
 	if st.State == server.StateDone {
-		c.mirrorResult(rec, url, remoteID)
+		c.mirrorResult(rec, url)
 	}
 }
 
-// mirrorResult pulls the owner's raw /result bytes — the golden-pinned
-// envelope form — into the record and the coordinator cache.
-func (c *Coordinator) mirrorResult(rec *record, url, remoteID string) {
+// mirrorResult pulls the raw /result bytes of the worker job at url —
+// the golden-pinned envelope form — into the record and the coordinator
+// cache.
+func (c *Coordinator) mirrorResult(rec *record, url string) {
 	rec.mu.Lock()
 	have := rec.resultRaw != nil
 	rec.mu.Unlock()
 	if have {
 		return
 	}
-	resp, err := c.client.Get(url + "/v1/jobs/" + remoteID + "/result")
-	if err != nil {
-		return
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil || resp.StatusCode != http.StatusOK {
-		return
-	}
+	raw, err := c.get(url + "/result")
 	var res job.Result
-	if err := json.Unmarshal(raw, &res); err != nil {
+	if err != nil || json.Unmarshal(raw, &res) != nil {
 		return
 	}
 	rec.mu.Lock()
@@ -787,236 +669,145 @@ func (c *Coordinator) mirrorResult(rec *record, url, remoteID string) {
 		rec.result = &res
 	}
 	rec.mu.Unlock()
-	c.cache.Put(rec.key, res, raw)
+	c.cache.Put(rec.key, cachedResult{res: res, raw: raw})
 }
 
-func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
-	rec, ok := c.recordFor(w, r)
-	if !ok {
-		return
-	}
+// handle is a coordinator record as the shared handlers see it. Its
+// methods proxy to the owning worker, and fall back on what the record
+// mirrored when the owner is gone.
+type handle struct {
+	c   *Coordinator
+	rec *record
+}
+
+func (h handle) Status() server.Status {
+	h.c.refresh(h.rec)
+	return h.rec.status()
+}
+
+func (h handle) Trace() []server.TraceEvent {
+	h.rec.mu.Lock()
+	defer h.rec.mu.Unlock()
+	return append([]server.TraceEvent(nil), h.rec.trace...)
+}
+
+// Result returns the owner's raw bytes as mirrored on completion —
+// never a decode-and-re-marshal, which would reorder the payload.
+func (h handle) Result() ([]byte, server.Status, error) {
+	c, rec := h.c, h.rec
 	c.refresh(rec)
-	server.WriteJSON(w, http.StatusOK, rec.status())
-}
-
-func (c *Coordinator) handleList(w http.ResponseWriter, r *http.Request) {
-	recs := c.records()
-	out := make([]server.Status, len(recs))
-	for i, rec := range recs {
-		out[i] = rec.status()
+	// A record can settle without raw bytes (through its event stream, or
+	// with the owner gone right after completion): try the owner directly.
+	// mirrorResult is a no-op once the bytes are in.
+	if url, ok := c.jobURL(rec); ok {
+		c.mirrorResult(rec, url)
 	}
-	server.WriteJSON(w, http.StatusOK, out)
-}
-
-// handleResult serves the bare Result envelope, byte-identical to what
-// the owning worker serves (raw passthrough / mirrored bytes — never a
-// decode-and-re-marshal, which would reorder the payload).
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	rec, ok := c.recordFor(w, r)
-	if !ok {
-		return
-	}
-	c.refresh(rec)
 	rec.mu.Lock()
-	raw := rec.resultRaw
-	st := rec.statusLocked()
-	rec.mu.Unlock()
-	if raw == nil {
-		// Mirrored status may be terminal without raw bytes yet (e.g. the
-		// owner vanished right after completion); try the owner directly.
-		if _, url, ok := c.owner(rec); ok {
-			rec.mu.Lock()
-			remoteID := rec.remoteID
-			rec.mu.Unlock()
-			c.mirrorResult(rec, url, remoteID)
-			rec.mu.Lock()
-			raw = rec.resultRaw
-			rec.mu.Unlock()
-		}
-	}
-	if raw != nil {
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		w.Write(raw) //nolint:errcheck // nothing to do about a failed response write
-		return
-	}
-	if !st.State.Terminal() {
-		server.WriteError(w, http.StatusConflict, "job "+st.ID+" not finished (state "+string(st.State)+")")
-		return
-	}
-	server.WriteError(w, http.StatusNotFound, "job "+st.ID+" has no result: "+st.Error)
+	defer rec.mu.Unlock()
+	return rec.resultRaw, rec.statusLocked(), nil
 }
 
-// handleSnapshot proxies the owner's latest checkpoint; when the owner
-// is unreachable (dead, or the job is mid-failover) it serves the
+// Snapshot proxies the owner's latest checkpoint; when the owner is
+// unreachable (dead, or the job is mid-failover) it serves the
 // coordinator's own mirrored copy, so snapshots stay downloadable
 // through a failure window.
-func (c *Coordinator) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	rec, ok := c.recordFor(w, r)
-	if !ok {
-		return
-	}
-	if _, url, ok := c.owner(rec); ok {
-		rec.mu.Lock()
-		remoteID := rec.remoteID
-		rec.mu.Unlock()
-		resp, err := c.client.Get(url + "/v1/jobs/" + remoteID + "/snapshot")
-		if err == nil {
-			body, rerr := io.ReadAll(resp.Body)
-			resp.Body.Close()
-			if rerr == nil && resp.StatusCode == http.StatusOK {
-				w.Header().Set("Content-Type", "application/octet-stream")
-				w.WriteHeader(http.StatusOK)
-				w.Write(body) //nolint:errcheck // nothing to do about a failed response write
-				return
-			}
+func (h handle) Snapshot() ([]byte, error) {
+	if url, ok := h.c.jobURL(h.rec); ok {
+		if body, err := h.c.get(url + "/snapshot"); err == nil {
+			return body, nil
 		}
 	}
-	rec.mu.Lock()
-	mirrored := rec.snapshot
-	rec.mu.Unlock()
-	if mirrored != nil {
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.WriteHeader(http.StatusOK)
-		w.Write(mirrored) //nolint:errcheck // nothing to do about a failed response write
-		return
-	}
-	server.WriteError(w, http.StatusNotFound, "job "+rec.id+" has no checkpoint (none captured yet, or it already settled)")
+	h.rec.mu.Lock()
+	defer h.rec.mu.Unlock()
+	return h.rec.snapshot, nil
 }
 
-// handleCancel cancels cluster-wide: the record is marked user-canceled
-// (so failover never resurrects it) and the DELETE is forwarded to the
-// owning worker when one is reachable.
-func (c *Coordinator) handleCancel(w http.ResponseWriter, r *http.Request) {
-	rec, ok := c.recordFor(w, r)
-	if !ok {
-		return
-	}
+// Cancel cancels cluster-wide: the record is marked user-canceled (so
+// failover never resurrects it) and the DELETE is forwarded to the
+// owning worker when one is reachable; otherwise the record settles
+// locally.
+func (h handle) Cancel() server.Status {
+	c, rec := h.c, h.rec
 	rec.mu.Lock()
 	rec.userCanceled = true
 	terminal := rec.state.Terminal()
-	remoteID := rec.remoteID
 	rec.mu.Unlock()
 	if terminal {
-		server.WriteJSON(w, http.StatusOK, rec.status())
-		return
+		return rec.status()
 	}
-	if _, url, ok := c.owner(rec); ok {
-		req, _ := http.NewRequest(http.MethodDelete, url+"/v1/jobs/"+remoteID, nil)
-		resp, err := c.client.Do(req)
-		if err == nil {
+	if url, ok := c.jobURL(rec); ok {
+		req, _ := http.NewRequest(http.MethodDelete, url, nil)
+		if resp, err := c.client.Do(req); err == nil {
 			body, rerr := io.ReadAll(resp.Body)
 			resp.Body.Close()
 			if rerr == nil && resp.StatusCode < 300 {
 				var st server.Status
-				if json.Unmarshal(body, &st) == nil && rec.applyStatus(st) {
-					c.traceEvent(rec, server.TraceSettled, string(st.State), st.Steps)
+				if json.Unmarshal(body, &st) == nil {
+					c.settle(rec, st)
 				}
-				server.WriteJSON(w, resp.StatusCode, rec.status())
-				return
+				return rec.status()
 			}
 		}
 	}
 	// No reachable owner: settle locally; the pending-reassignment path
 	// skips user-canceled records.
+	c.cancelLocally(rec)
+	return rec.status()
+}
+
+// cancelLocally settles a record as canceled without its worker.
+func (c *Coordinator) cancelLocally(rec *record) {
 	rec.mu.Lock()
 	settled := !rec.state.Terminal()
 	if settled {
 		rec.state = server.StateCanceled
 		rec.errMsg = "canceled"
+		rec.pending = false
 	}
 	rec.mu.Unlock()
 	if settled {
 		c.traceEvent(rec, server.TraceSettled, string(server.StateCanceled), 0)
 	}
-	server.WriteJSON(w, http.StatusOK, rec.status())
 }
 
-// handleEvents streams the job's NDJSON frames through the coordinator,
+// Events streams the job's NDJSON frames through the coordinator,
 // rewriting worker-side ids to the coordinator id. The stream survives
 // failover: when the owner dies mid-stream the proxy waits for the
 // reassignment and reattaches to the new owner, so a watcher sees one
 // uninterrupted stream ending in exactly one result frame.
-func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
-	rec, ok := c.recordFor(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(f server.Frame) bool {
+func (h handle) Events(ctx context.Context, emit func(server.Frame) bool) {
+	c, rec := h.c, h.rec
+	relabel := func(f server.Frame) bool {
 		f.ID = rec.id
-		if err := enc.Encode(f); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
-	resultFrame := func() server.Frame {
-		st := rec.status()
-		return server.Frame{
-			Type:   "result",
-			Steps:  st.Steps,
-			State:  st.State,
-			Cached: st.Cached,
-			Error:  st.Error,
-			Result: st.Result,
-		}
+		return emit(f)
 	}
 	retry := c.cfg.PullEvery
 	if retry <= 0 || retry > time.Second {
 		retry = time.Second
 	}
 	for {
-		if rec.status().State.Terminal() {
-			emit(resultFrame())
+		if st := rec.status(); st.State.Terminal() {
+			emit(st.ResultFrame())
 			return
 		}
-		_, url, ok := c.owner(rec)
-		if !ok {
-			// Mid-failover: wait for reassignment (or client disconnect).
-			select {
-			case <-r.Context().Done():
-				return
-			case <-time.After(retry):
-			}
-			continue
-		}
-		rec.mu.Lock()
-		remoteID := rec.remoteID
-		rec.mu.Unlock()
-		req, err := http.NewRequestWithContext(r.Context(), http.MethodGet, url+"/v1/jobs/"+remoteID+"/events", nil)
-		if err != nil {
-			return
-		}
-		resp, err := c.stream.Do(req)
-		if err != nil {
-			if r.Context().Err() != nil {
+		if url, ok := c.jobURL(rec); ok {
+			req, err := http.NewRequestWithContext(ctx, http.MethodGet, url+"/events", nil)
+			if err != nil {
 				return
 			}
-			select {
-			case <-r.Context().Done():
-				return
-			case <-time.After(retry):
+			if resp, err := c.stream.Do(req); err == nil {
+				done := c.pumpFrames(resp.Body, rec, relabel)
+				resp.Body.Close()
+				if done {
+					return
+				}
 			}
-			continue
 		}
-		done := c.pumpFrames(resp.Body, rec, emit)
-		resp.Body.Close()
-		if done {
-			return
-		}
-		if r.Context().Err() != nil {
-			return
-		}
-		// The upstream closed without a result frame (worker died
-		// mid-stream): loop — the next pass reattaches after failover.
+		// Mid-failover, unreachable, or the upstream closed without a
+		// result frame (the worker died mid-stream): wait, then reattach
+		// to whoever owns the job by then.
 		select {
-		case <-r.Context().Done():
+		case <-ctx.Done():
 			return
 		case <-time.After(retry):
 		}
@@ -1027,22 +818,23 @@ func (c *Coordinator) handleEvents(w http.ResponseWriter, r *http.Request) {
 // terminal result frame into the record. It reports whether the stream
 // completed (result frame seen or the client went away).
 func (c *Coordinator) pumpFrames(body io.Reader, rec *record, emit func(server.Frame) bool) bool {
-	sc := newLineScanner(body)
+	sc := bufio.NewScanner(body)
+	// Room for a full result frame: payloads of large runs exceed
+	// bufio's 64K default.
+	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	for sc.Scan() {
 		var f server.Frame
 		if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
 			continue
 		}
 		if f.Type == "result" {
-			if rec.applyStatus(server.Status{
+			c.settle(rec, server.Status{
 				State:  f.State,
 				Cached: f.Cached,
 				Steps:  f.Steps,
 				Error:  f.Error,
 				Result: f.Result,
-			}) {
-				c.traceEvent(rec, server.TraceSettled, string(f.State), f.Steps)
-			}
+			})
 			emit(f)
 			return true
 		}
@@ -1051,10 +843,6 @@ func (c *Coordinator) pumpFrames(body io.Reader, rec *record, emit func(server.F
 		}
 	}
 	return false
-}
-
-func (c *Coordinator) handleProtocols(w http.ResponseWriter, r *http.Request) {
-	server.WriteJSON(w, http.StatusOK, server.ProtocolsPayload(c.reg))
 }
 
 // clusterHealth is the coordinator's /healthz body.
@@ -1071,7 +859,8 @@ type clusterHealth struct {
 	Protocols   string `json:"protocols"`
 }
 
-func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
+// Health implements server.Backend.
+func (c *Coordinator) Health() any {
 	c.mu.Lock()
 	nodes, alive := len(c.nodes), 0
 	for _, n := range c.nodes {
@@ -1079,21 +868,20 @@ func (c *Coordinator) handleHealth(w http.ResponseWriter, r *http.Request) {
 			alive++
 		}
 	}
-	jobs := len(c.jobs)
 	c.mu.Unlock()
 	hits, misses := c.cache.Stats()
-	server.WriteJSON(w, http.StatusOK, clusterHealth{
+	return clusterHealth{
 		Status:      "ok",
 		Role:        "coordinator",
 		Draining:    c.draining.Load(),
 		Nodes:       nodes,
 		Alive:       alive,
-		Jobs:        jobs,
+		Jobs:        c.jobs.Len(),
 		CacheLen:    c.cache.Len(),
 		CacheHits:   hits,
 		CacheMisses: misses,
-		Protocols:   strings.Join(c.reg.Names(), ","),
-	})
+		Protocols:   strings.Join(c.cfg.Registry.Names(), ","),
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -1147,8 +935,7 @@ func (c *Coordinator) failNode(name, why string) {
 	n.alive = false
 	c.ring.Remove(name)
 	var orphans []*record
-	for _, id := range c.order {
-		rec := c.jobs[id]
+	for _, rec := range c.jobs.All() {
 		rec.mu.Lock()
 		if rec.node == name && !rec.state.Terminal() {
 			rec.node, rec.remoteID = "", ""
@@ -1170,7 +957,7 @@ func (c *Coordinator) failNode(name, why string) {
 // reassignPending retries records left unassigned by a failed
 // reassignment (e.g. there were no survivors at the time).
 func (c *Coordinator) reassignPending() {
-	for _, rec := range c.records() {
+	for _, rec := range c.jobs.All() {
 		rec.mu.Lock()
 		pending := rec.pending && !rec.state.Terminal()
 		rec.mu.Unlock()
@@ -1190,11 +977,8 @@ func (c *Coordinator) reassign(rec *record) {
 		return
 	}
 	if rec.userCanceled {
-		rec.state = server.StateCanceled
-		rec.errMsg = "canceled"
-		rec.pending = false
 		rec.mu.Unlock()
-		c.traceEvent(rec, server.TraceSettled, string(server.StateCanceled), 0)
+		c.cancelLocally(rec)
 		return
 	}
 	snapshot := rec.snapshot
@@ -1234,29 +1018,17 @@ func (c *Coordinator) reassign(rec *record) {
 // checkpoint coordinator-side, which is what makes failover a resume
 // rather than a restart.
 func (c *Coordinator) mirror() {
-	for _, rec := range c.records() {
-		if rec.status().State.Terminal() {
+	for _, rec := range c.jobs.All() {
+		c.refresh(rec)
+		if st := rec.status(); st.State.Terminal() || st.State == server.StateQueued {
 			continue
 		}
-		_, url, ok := c.owner(rec)
+		url, ok := c.jobURL(rec)
 		if !ok {
 			continue
 		}
-		c.refresh(rec)
-		st := rec.status()
-		if st.State.Terminal() || st.State == server.StateQueued {
-			continue
-		}
-		rec.mu.Lock()
-		remoteID := rec.remoteID
-		rec.mu.Unlock()
-		resp, err := c.client.Get(url + "/v1/jobs/" + remoteID + "/snapshot")
-		if err != nil {
-			continue
-		}
-		body, rerr := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if rerr != nil || resp.StatusCode != http.StatusOK || len(body) == 0 {
+		body, err := c.get(url + "/snapshot")
+		if err != nil || len(body) == 0 {
 			continue
 		}
 		rec.mu.Lock()

@@ -1,21 +1,19 @@
 package cluster
 
 import (
-	"net/http"
 	"time"
 
 	"shapesol/internal/obs"
-	"shapesol/internal/server"
 )
 
 // clusterMetrics is the coordinator's slice of the fleet registry: ring
 // membership, per-node heartbeat staleness, failover/reassignment
-// counters, mirror freshness, and per-route latency. Each Coordinator
-// owns a private registry, so two coordinators in one process (tests)
-// never share counters.
+// counters, mirror freshness and the result cache (server.NewHandler
+// adds route latency, the draining flag and the job census). Each
+// Coordinator owns a private registry, so two coordinators in one
+// process (tests) never share counters.
 type clusterMetrics struct {
-	reg    *obs.Registry
-	routes *obs.HistogramVec
+	reg *obs.Registry
 
 	// staleness is repopulated from the node table at every scrape, so
 	// a dead (or departed) worker's row disappears instead of freezing
@@ -34,8 +32,6 @@ func newClusterMetrics(c *Coordinator) *clusterMetrics {
 	reg := obs.NewRegistry()
 	m := &clusterMetrics{
 		reg: reg,
-		routes: reg.HistogramVec("shapesol_http_request_duration_seconds",
-			"Latency of coordinator HTTP requests by route pattern.", nil, "route"),
 		staleness: reg.GaugeVec("shapesol_cluster_heartbeat_staleness_seconds",
 			"Seconds since each registered worker's last heartbeat.", "node"),
 		nodeFailures: reg.Counter("shapesol_cluster_node_failures_total",
@@ -84,66 +80,17 @@ func newClusterMetrics(c *Coordinator) *clusterMetrics {
 			}
 			return time.Since(time.Unix(0, ns)).Seconds()
 		})
-	reg.GaugeFunc("shapesol_cache_entries",
-		"Entries in the coordinator's result cache.", func() float64 {
-			return float64(c.cache.Len())
-		})
-	reg.CounterFunc("shapesol_cache_hits_total",
-		"Coordinator result-cache hits.", func() float64 {
-			hits, _ := c.cache.Stats()
-			return float64(hits)
-		})
-	reg.CounterFunc("shapesol_cache_misses_total",
-		"Coordinator result-cache misses.", func() float64 {
-			_, misses := c.cache.Stats()
-			return float64(misses)
-		})
-	reg.GaugeFunc("shapesol_draining",
-		"1 while the coordinator is shutting down.", func() float64 {
-			if c.draining.Load() {
-				return 1
-			}
-			return 0
-		})
-
-	jobs := reg.GaugeVec("shapesol_jobs",
-		"Coordinator job records by lifecycle state.", "state")
+	c.cache.Register(reg)
 	reg.OnCollect(func() {
-		// Per-node staleness and the per-state job census are snapshots
-		// of mutable tables: rebuild both vecs at scrape time.
+		// Per-node staleness is a snapshot of a mutable table: rebuild
+		// the vec at scrape time.
 		m.staleness.Reset()
 		now := time.Now()
 		c.mu.Lock()
+		defer c.mu.Unlock()
 		for _, n := range c.nodes {
 			m.staleness.With(n.name).Set(now.Sub(n.lastBeat).Seconds())
 		}
-		recs := c.recordsLocked()
-		c.mu.Unlock()
-		jobs.Reset()
-		for _, st := range []server.State{server.StateQueued, server.StateRunning,
-			server.StateDone, server.StateFailed, server.StateCanceled} {
-			jobs.With(string(st)).Set(0)
-		}
-		for _, rec := range recs {
-			rec.mu.Lock()
-			st := rec.state
-			rec.mu.Unlock()
-			jobs.With(string(st)).Add(1)
-		}
 	})
 	return m
-}
-
-// instrument wraps a handler with the per-route latency histogram.
-func (m *clusterMetrics) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc {
-	hist := m.routes.With(pattern)
-	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		h(w, r)
-		hist.Observe(time.Since(t0).Seconds())
-	}
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	c.metrics.reg.Handler().ServeHTTP(w, r)
 }

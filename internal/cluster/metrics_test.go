@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"regexp"
 	"strconv"
+	"sync"
 	"testing"
 	"time"
 
@@ -121,5 +122,36 @@ func TestCoordinatorMetricsAndTrace(t *testing.T) {
 	}
 	if steps <= 0 {
 		t.Fatalf("no worker reported urn engine steps (total %v)", steps)
+	}
+}
+
+// TestRecordTraceStrictlyOrdered: concurrent appends to one record's
+// trace keep its timestamps strictly increasing, the same clamp the
+// daemon's traces use, so timestamp order is recording order.
+func TestRecordTraceStrictlyOrdered(t *testing.T) {
+	const writers, events = 4, 20000
+	rec := &record{id: "c1"}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < events; i++ {
+				rec.addTrace(TraceRouted, "", int64(i))
+			}
+		}()
+	}
+	wg.Wait()
+	if len(rec.trace) != writers*events {
+		t.Fatalf("trace holds %d events, want %d", len(rec.trace), writers*events)
+	}
+	bad := 0
+	for i := 1; i < len(rec.trace); i++ {
+		if !rec.trace[i].TS.After(rec.trace[i-1].TS) {
+			bad++
+		}
+	}
+	if bad > 0 {
+		t.Fatalf("%d of %d consecutive trace events are not strictly later than their predecessor", bad, len(rec.trace)-1)
 	}
 }

@@ -39,9 +39,7 @@ func stopWorkers(t *testing.T, tc *testCluster) {
 // record returns the coordinator's record of id.
 func (tc *testCluster) record(t *testing.T, id string) *record {
 	t.Helper()
-	tc.coord.mu.Lock()
-	defer tc.coord.mu.Unlock()
-	rec, ok := tc.coord.jobs[id]
+	rec, ok := tc.coord.jobs.Get(id)
 	if !ok {
 		t.Fatalf("coordinator holds no record %s", id)
 	}
@@ -444,5 +442,42 @@ func TestCoordinatorListHealthProtocols(t *testing.T) {
 	}
 	if _, fromWorker := get(t, tc.workers[0].ts.URL+"/v1/protocols"); !bytes.Equal(fromCoord, fromWorker) {
 		t.Fatalf("coordinator protocol listing differs from a worker's:\n%s\n%s", fromCoord, fromWorker)
+	}
+}
+
+// TestCoordinatorCacheHitAfterWorkerHit: a repeat the worker answers
+// from its own cache fills the coordinator cache with the worker's raw
+// bytes, so the next repeat, a coordinator cache hit with no owner,
+// serves its /result instead of a 404. The mirror loop is parked, and the
+// first run settles through its event stream, so nothing else mirrors
+// the bytes.
+func TestCoordinatorCacheHitAfterWorkerHit(t *testing.T) {
+	tc := startCluster(t, 1, server.Config{}, Config{PullEvery: time.Hour})
+	j := job.Job{Protocol: "counting-upper-bound", Engine: job.EngineUrn, Seed: 3, Params: job.Params{N: 1000}}
+	first := submitJob(t, tc.ts.URL, j)
+	readFrames(t, tc.ts.URL+"/v1/jobs/"+first.ID+"/events")
+
+	second := submitJob(t, tc.ts.URL, j)
+	if !second.Cached || second.State != server.StateDone {
+		t.Fatalf("second submission %+v, want a worker cache hit", second)
+	}
+	if owner, _, ok := tc.coord.owner(tc.record(t, second.ID)); !ok || owner != tc.workers[0].name {
+		t.Fatalf("second submission owned by %q, want the worker's cache hit", owner)
+	}
+	want := rawResult(t, tc.workers[0].ts.URL, tc.record(t, second.ID).remoteID)
+
+	third := submitJob(t, tc.ts.URL, j)
+	if !third.Cached || third.State != server.StateDone {
+		t.Fatalf("third submission %+v, want a coordinator cache hit", third)
+	}
+	if _, _, ok := tc.coord.owner(tc.record(t, third.ID)); ok {
+		t.Fatal("third submission was routed, want a coordinator cache hit")
+	}
+	code, got := get(t, tc.ts.URL+"/v1/jobs/"+third.ID+"/result")
+	if code != http.StatusOK {
+		t.Fatalf("result of a coordinator cache hit: HTTP %d: %s", code, got)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("coordinator cache hit served other bytes than the worker:\ngot:  %s\nwant: %s", got, want)
 	}
 }

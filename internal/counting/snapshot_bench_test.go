@@ -15,8 +15,10 @@ import (
 // Both are O(m^2) in the distinct-state count m (the pair table), which stays
 // O(1) for the counting protocols — so checkpointing a million-agent run
 // costs microseconds, and the daemon can checkpoint on every progress
-// tick without denting throughput. scripts/bench_snapshot.sh records
-// these numbers as the perf trajectory's snapshot baseline.
+// tick without denting throughput. The bench workflow records these
+// numbers in its per-run JSON suite; the repo benchmark's snap.* rows
+// (perfbench) time the same capture, encode and decode in its batch
+// workloads.
 
 // benchUrnWorld warms a world past the initial transient: the run is
 // canceled from its first Progress tick, the daemon's capture point.

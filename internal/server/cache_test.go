@@ -11,7 +11,7 @@ func res(steps int64) job.Result {
 }
 
 func TestCacheHitMiss(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache[job.Result](2)
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("hit on an empty cache")
 	}
@@ -27,7 +27,7 @@ func TestCacheHitMiss(t *testing.T) {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache[job.Result](2)
 	c.Put("a", res(1))
 	c.Put("b", res(2))
 	c.Get("a") // a is now the most recently used
@@ -47,7 +47,7 @@ func TestCacheLRUEviction(t *testing.T) {
 }
 
 func TestCacheRePutRefreshesRecency(t *testing.T) {
-	c := NewCache(2)
+	c := NewCache[job.Result](2)
 	c.Put("a", res(1))
 	c.Put("b", res(2))
 	c.Put("a", res(1)) // same deterministic key: recency refresh only
@@ -61,7 +61,7 @@ func TestCacheRePutRefreshesRecency(t *testing.T) {
 }
 
 func TestCacheDisabled(t *testing.T) {
-	c := NewCache(0)
+	c := NewCache[job.Result](0)
 	c.Put("a", res(1))
 	if _, ok := c.Get("a"); ok {
 		t.Fatal("disabled cache returned a hit")

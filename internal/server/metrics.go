@@ -1,21 +1,19 @@
 package server
 
 import (
-	"net/http"
-	"time"
-
 	"shapesol/internal/job"
 	"shapesol/internal/obs"
 )
 
 // serverMetrics is the daemon's observability surface: one obs.Registry
 // serving GET /metrics, with the engine counter sets pre-resolved per
-// engine label and the serving-path instruments (route latency, queue
-// depth, pool saturation, cache hit/miss, journal fsync and checkpoint
-// write timing) registered around the existing components.
+// engine label and the serving-path instruments (queue depth, pool
+// saturation, cache hit/miss, journal fsync and checkpoint write timing)
+// registered around the existing components. NewHandler adds the ones
+// both roles share: route latency, the draining flag and the per-state
+// job census.
 type serverMetrics struct {
 	reg     *obs.Registry
-	routes  *obs.HistogramVec
 	engines map[job.Engine]*obs.EngineMetrics
 
 	fsync      *obs.Histogram
@@ -24,14 +22,12 @@ type serverMetrics struct {
 }
 
 // newServerMetrics builds the registry for s. Scrape-time values (queue
-// depth, saturation, cache counters, per-state job counts) are read
-// through funcs and collect hooks, so nothing polls in the background.
+// depth, saturation, cache counters) are read through funcs, so nothing
+// polls in the background.
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := obs.NewRegistry()
 	m := &serverMetrics{
 		reg: reg,
-		routes: reg.HistogramVec("shapesol_http_request_duration_seconds",
-			"HTTP request latency by mux route pattern.", nil, "route"),
 		engines: map[job.Engine]*obs.EngineMetrics{
 			job.EngineSim:   obs.NewEngineMetrics(reg, string(job.EngineSim)),
 			job.EnginePop:   obs.NewEngineMetrics(reg, string(job.EnginePop)),
@@ -58,38 +54,7 @@ func newServerMetrics(s *Server) *serverMetrics {
 	reg.GaugeFunc("shapesol_pool_busy",
 		"Workers currently executing a job (saturation = busy/workers).",
 		func() float64 { return float64(s.pool.Busy()) })
-	reg.CounterFunc("shapesol_cache_hits_total",
-		"Result-cache hits (submissions answered without simulation).",
-		func() float64 { h, _ := s.cache.Stats(); return float64(h) })
-	reg.CounterFunc("shapesol_cache_misses_total",
-		"Result-cache misses.",
-		func() float64 { _, mi := s.cache.Stats(); return float64(mi) })
-	reg.GaugeFunc("shapesol_cache_entries",
-		"Entries in the LRU result cache.",
-		func() float64 { return float64(s.cache.Len()) })
-	reg.GaugeFunc("shapesol_draining",
-		"1 while the daemon is shutting down and rejecting submissions.",
-		func() float64 {
-			if s.draining.Load() {
-				return 1
-			}
-			return 0
-		})
-
-	jobsByState := reg.GaugeVec("shapesol_jobs",
-		"Retained job records by lifecycle state.", "state")
-	reg.OnCollect(func() {
-		counts := map[State]int{
-			StateQueued: 0, StateRunning: 0, StateDone: 0,
-			StateFailed: 0, StateCanceled: 0,
-		}
-		for _, st := range s.store.list() {
-			counts[st.State]++
-		}
-		for state, n := range counts {
-			jobsByState.With(string(state)).Set(float64(n))
-		}
-	})
+	s.cache.Register(reg)
 	return m
 }
 
@@ -97,20 +62,4 @@ func newServerMetrics(s *Server) *serverMetrics {
 // engine the registry does not know, which Normalize rejects anyway).
 func (m *serverMetrics) engine(eng job.Engine) *obs.EngineMetrics {
 	return m.engines[eng]
-}
-
-// instrument wraps a route handler with the per-route latency
-// histogram. The child is resolved once per route at registration.
-func (m *serverMetrics) instrument(pattern string, h http.HandlerFunc) http.HandlerFunc {
-	hist := m.routes.With(pattern)
-	return func(w http.ResponseWriter, r *http.Request) {
-		t0 := time.Now()
-		h(w, r)
-		hist.Observe(time.Since(t0).Seconds())
-	}
-}
-
-// handleMetrics serves the Prometheus text exposition.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	s.metrics.reg.Handler().ServeHTTP(w, r)
 }

@@ -31,7 +31,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"io/fs"
 	"log"
 	"net/http"
@@ -110,9 +109,9 @@ type Server struct {
 	cfg     Config
 	reg     *job.Registry
 	pool    *runner.Pool
-	store   *store
-	cache   *Cache
-	mux     *http.ServeMux
+	store   *Table[*entry]
+	cache   *Cache[job.Result]
+	handler http.Handler
 	persist *persister     // nil without a DataDir
 	metrics *serverMetrics // always non-nil after New
 
@@ -132,15 +131,12 @@ func New(cfg Config) (*Server, error) {
 		cfg:   cfg,
 		reg:   cfg.Registry,
 		pool:  runner.NewPool(cfg.Workers, cfg.Queue),
-		store: newStore(cfg.MaxJobs),
-		cache: NewCache(cfg.CacheSize),
-		mux:   http.NewServeMux(),
+		store: NewTable("j", cfg.MaxJobs, func(e *entry) bool { return e.status().State.Terminal() }),
+		cache: NewCache[job.Result](cfg.CacheSize),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	s.metrics = newServerMetrics(s)
-	for _, rt := range s.routes() {
-		s.mux.HandleFunc(rt.pattern, s.metrics.instrument(rt.pattern, rt.handler))
-	}
+	s.handler = NewHandler(s, cfg.Registry, s.metrics.reg)
 	if cfg.DataDir != "" {
 		p, err := openPersister(cfg.DataDir)
 		if err != nil {
@@ -159,44 +155,6 @@ func New(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// route pairs one mux pattern with its handler. routes below is the
-// single source of the service's HTTP surface: New registers from it,
-// and Routes exposes the patterns so the API reference (API.md) can be
-// pinned against the mux by test.
-type route struct {
-	pattern string
-	handler http.HandlerFunc
-}
-
-func (s *Server) routes() []route {
-	return []route{
-		{"POST /v1/jobs", s.handleSubmit},
-		{"POST /v1/jobs/resume", s.handleResume},
-		{"GET /v1/jobs", s.handleList},
-		{"GET /v1/jobs/{id}", s.handleStatus},
-		{"GET /v1/jobs/{id}/result", s.handleResult},
-		{"GET /v1/jobs/{id}/snapshot", s.handleSnapshot},
-		{"DELETE /v1/jobs/{id}", s.handleCancel},
-		{"GET /v1/jobs/{id}/events", s.handleEvents},
-		{"GET /v1/jobs/{id}/trace", s.handleTrace},
-		{"GET /v1/protocols", s.handleProtocols},
-		{"GET /healthz", s.handleHealth},
-		{"GET /metrics", s.handleMetrics},
-	}
-}
-
-// Routes returns the mux patterns of every endpoint a Server registers,
-// in registration order.
-func Routes() []string {
-	var s *Server // handlers are method values, never invoked here
-	rts := s.routes()
-	out := make([]string, len(rts))
-	for i, rt := range rts {
-		out[i] = rt.pattern
-	}
-	return out
-}
-
 // recover replays the journal into the store and cache and re-enqueues
 // every interrupted job, preferring its latest checkpoint.
 func (s *Server) recover() error {
@@ -206,53 +164,42 @@ func (s *Server) recover() error {
 	}
 	// Keep the id sequence ahead of everything journaled, so fresh
 	// submissions never collide with recovered ids.
-	s.store.ensureSeq(maxSeq)
+	s.store.EnsureSeq(maxSeq)
 	for _, r := range replayed {
 		nj, spec, err := s.reg.Normalize(r.job)
 		if err != nil {
 			// A journal from a build with different specs; surface the job
 			// as failed rather than dropping it silently.
-			e := s.store.addWithID(r.id, r.job, nil, "", StateFailed)
-			e.mu.Lock()
-			e.errMsg = "recovery: " + err.Error()
-			e.trace = r.events
-			e.mu.Unlock()
+			s.store.Put(r.id, &entry{id: r.id, job: r.job, state: StateFailed, errMsg: "recovery: " + err.Error(), trace: r.events})
 			s.persist.removeCheckpoint(r.id)
 			continue
 		}
-		key := nj.CacheKey()
+		e := &entry{id: r.id, job: nj, spec: spec, key: nj.CacheKey(), trace: r.events}
 		if r.terminal {
-			e := s.store.addWithID(r.id, nj, spec, key, r.state)
-			e.mu.Lock()
-			e.errMsg = r.errMsg
-			e.result = r.result
-			e.trace = r.events
-			e.mu.Unlock()
+			e.state, e.errMsg, e.result = r.state, r.errMsg, r.result
+			s.store.Put(e.id, e)
 			if r.state == StateDone && r.result != nil {
-				s.cache.Put(key, *r.result)
+				s.cache.Put(e.key, *r.result)
 			}
 			s.persist.removeCheckpoint(r.id)
 			continue
 		}
 		// Interrupted: re-enqueue, resuming from the checkpoint if there is
 		// a valid one.
-		e := s.store.addWithID(r.id, nj, spec, key, StateQueued)
-		e.mu.Lock()
-		e.trace = r.events
-		e.mu.Unlock()
+		e.state = StateQueued
 		if data, err := s.persist.readCheckpoint(r.id); err == nil {
 			if snapshot, err := snap.Decode(data); err != nil {
 				log.Printf("server: job %s checkpoint unusable (%v), restarting from scratch", r.id, err)
 			} else if rj, rspec, err := s.reg.ResumeJob(snapshot); err != nil {
 				log.Printf("server: job %s checkpoint rejected (%v), restarting from scratch", r.id, err)
 			} else {
-				e.job, e.spec = rj, rspec
-				e.markResumed()
+				e.job, e.spec, e.resumed = rj, rspec, true
 				e.steps.Store(snapshot.Steps)
 			}
 		} else if !errors.Is(err, fs.ErrNotExist) {
 			log.Printf("server: job %s checkpoint unreadable (%v), restarting from scratch", r.id, err)
 		}
+		s.store.Put(e.id, e)
 		s.traceEvent(e, TraceRecovered, "re-enqueued at boot", e.steps.Load())
 		ctx, cancel := context.WithCancel(s.baseCtx)
 		e.setCancel(cancel)
@@ -264,9 +211,10 @@ func (s *Server) recover() error {
 	return nil
 }
 
-// ServeHTTP dispatches to the service's routes.
+// ServeHTTP serves the shared /v1 surface (see NewHandler) with s as
+// its Backend.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	s.mux.ServeHTTP(w, r)
+	s.handler.ServeHTTP(w, r)
 }
 
 // Shutdown drains the service: new submissions and queued jobs are
@@ -277,7 +225,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // the caller allows.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.draining.Store(true)
-	for _, e := range s.store.all() {
+	for _, e := range s.store.All() {
 		e.cancelQueued("server draining")
 	}
 	s.baseCancel()
@@ -295,80 +243,22 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// ErrorBody is the JSON shape of every non-2xx response. Fields carries
-// the per-field breakdown when the failure is a fault-profile validation
-// error, so clients can pinpoint every offending profile field at once.
-// Exported because the cluster coordinator speaks the same error dialect.
-type ErrorBody struct {
-	Error  string             `json:"error"`
-	Fields []sched.FieldError `json:"fields,omitempty"`
-}
+// Draining implements Backend: true once Shutdown has begun.
+func (s *Server) Draining() bool { return s.draining.Load() }
 
-// WriteJSON writes v as the service's canonical JSON response form:
-// two-space indented, Content-Type application/json.
-func WriteJSON(w http.ResponseWriter, code int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v) //nolint:errcheck // nothing to do about a failed response write
-}
-
-// WriteError writes an ErrorBody with the given message.
-func WriteError(w http.ResponseWriter, code int, msg string) {
-	WriteJSON(w, code, ErrorBody{Error: msg})
-}
-
-// WriteValidationError is WriteError for admission failures: when the
-// cause is a *sched.ValidationError (an invalid fault profile), the 400
-// body carries its field-level entries alongside the message.
-func WriteValidationError(w http.ResponseWriter, err error) {
-	var ve *sched.ValidationError
-	if errors.As(err, &ve) {
-		WriteJSON(w, http.StatusBadRequest, ErrorBody{Error: err.Error(), Fields: ve.Fields})
-		return
-	}
-	WriteError(w, http.StatusBadRequest, err.Error())
-}
-
-// handleSubmit validates and enqueues one Job. Validation failures
-// (unknown protocol or engine, parameters outside the Spec's schema,
-// unknown JSON fields) are 400s; a full queue or a draining server is a
-// 503; a deterministic repeat of a cached run is answered 200 complete,
-// without touching the pool.
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		WriteError(w, http.StatusServiceUnavailable, "server draining")
-		return
-	}
-	var j job.Job
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&j); err != nil {
-		WriteError(w, http.StatusBadRequest, "bad job JSON: "+err.Error())
-		return
-	}
-	nj, spec, err := s.reg.Normalize(j)
-	if err != nil {
-		WriteValidationError(w, err)
-		return
-	}
-	s.admit(w, nj, spec, false, nil)
-}
-
-// admit runs the shared tail of submission and resume: cache lookup,
-// store entry, journal record, pool submission. A resumed admission
-// carries its snapshot so the durability layer can seed the new id's
-// checkpoint (a crash before the first fresh checkpoint then still
-// resumes from the uploaded state rather than from scratch).
-func (s *Server) admit(w http.ResponseWriter, nj job.Job, spec *job.Spec, resumed bool, snapshot []byte) {
-	key := nj.CacheKey()
-	if res, ok := s.cache.Get(key); ok {
-		e := s.store.add(nj, spec, key, StateDone)
-		if resumed {
-			e.markResumed()
-		}
-		e.setCached(&res)
+// Admit implements Backend for submission and resume alike: cache
+// lookup, store entry, journal record, pool submission. A full queue is
+// a 503; a deterministic repeat of a cached run is answered 200
+// complete, without touching the pool. A resumed admission carries its
+// snapshot so the durability layer can seed the new id's checkpoint (a
+// crash before the first fresh checkpoint then still resumes from the
+// uploaded state rather than from scratch).
+func (s *Server) Admit(w http.ResponseWriter, nj job.Job, spec *job.Spec, snapshot []byte) {
+	resumed := snapshot != nil
+	e := &entry{job: nj, spec: spec, key: nj.CacheKey(), state: StateQueued, resumed: resumed}
+	if res, ok := s.cache.Get(e.key); ok {
+		e.state, e.cached, e.result = StateDone, true, &res
+		s.store.Add(e.withID)
 		s.journalSubmit(e)
 		s.traceEvent(e, TraceSubmitted, nj.Protocol+"/"+string(nj.Engine), 0)
 		s.traceEvent(e, TraceCacheHit, "", res.Steps)
@@ -377,18 +267,17 @@ func (s *Server) admit(w http.ResponseWriter, nj job.Job, spec *job.Spec, resume
 		WriteJSON(w, http.StatusOK, e.status())
 		return
 	}
-	e := s.store.add(nj, spec, key, StateQueued)
 	if resumed {
-		e.markResumed()
 		e.steps.Store(nj.Restore.Steps)
+	}
+	s.store.Add(e.withID)
+	if resumed && s.persist != nil {
 		// Seed the new id's checkpoint before the job can run (or settle):
 		// if the daemon dies before the first fresh checkpoint, boot
 		// recovery resumes from the uploaded state instead of scratch, and
 		// a settling job correctly reaps this file rather than racing it.
-		if s.persist != nil {
-			if err := s.persist.writeCheckpoint(e.id, snapshot); err != nil {
-				log.Printf("server: seed checkpoint for %s: %v", e.id, err)
-			}
+		if err := s.persist.writeCheckpoint(e.id, snapshot); err != nil {
+			log.Printf("server: seed checkpoint for %s: %v", e.id, err)
 		}
 	}
 	// Stamp and record the admission events before the job can start, so
@@ -405,7 +294,7 @@ func (s *Server) admit(w http.ResponseWriter, nj job.Job, spec *job.Spec, resume
 	if err := s.pool.TrySubmit(func() { s.execute(ctx, e) }); err != nil {
 		cancel()
 		// Shed load without retaining state: the id was never exposed.
-		s.store.remove(e.id)
+		s.store.Remove(e.id)
 		if s.persist != nil {
 			s.persist.removeCheckpoint(e.id)
 		}
@@ -413,7 +302,7 @@ func (s *Server) admit(w http.ResponseWriter, nj job.Job, spec *job.Spec, resume
 			WriteError(w, http.StatusServiceUnavailable, "queue full")
 			return
 		}
-		WriteError(w, http.StatusServiceUnavailable, "server draining")
+		WriteError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
 	s.journalSubmit(e)
@@ -536,156 +425,77 @@ func (s *Server) execute(ctx context.Context, e *entry) {
 	}
 }
 
-func (s *Server) entryFor(w http.ResponseWriter, r *http.Request) (*entry, bool) {
-	e, ok := s.store.get(r.PathValue("id"))
-	if !ok {
-		WriteError(w, http.StatusNotFound, "no such job "+r.PathValue("id"))
-		return nil, false
+// Jobs implements Backend.
+func (s *Server) Jobs() []Status {
+	es := s.store.All()
+	out := make([]Status, len(es))
+	for i, e := range es {
+		out[i] = e.status()
 	}
-	return e, true
+	return out
 }
 
-func (s *Server) handleList(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, s.store.list())
+// Job implements Backend.
+func (s *Server) Job(id string) (Handle, bool) {
+	e, ok := s.store.Get(id)
+	return handle{s, e}, ok
 }
 
-func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
-	}
-	WriteJSON(w, http.StatusOK, e.status())
+// handle is a store entry as the shared handlers see it.
+type handle struct {
+	s *Server
+	e *entry
 }
 
-// handleResult serves the bare Result envelope of a finished job,
-// byte-identical (MarshalIndent, two-space, trailing newline) to the
-// golden-pinned form internal/job's tests check — the payload is still
-// the typed outcome struct here, so field order matches the goldens,
-// which a decode-and-re-marshal through a generic map would not
-// preserve. 409 until the job is terminal; 404 when it settled without
-// ever running (canceled while queued, failed).
-func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
-	}
-	st := e.status()
-	if !st.State.Terminal() {
-		WriteError(w, http.StatusConflict, "job "+st.ID+" not finished (state "+string(st.State)+")")
-		return
-	}
-	if st.Result == nil {
-		WriteError(w, http.StatusNotFound, "job "+st.ID+" has no result: "+st.Error)
-		return
+func (h handle) Status() Status { return h.e.status() }
+
+func (h handle) Trace() []TraceEvent { return h.e.traceEvents() }
+
+// Result marshals the still-typed payload, so field order matches the
+// goldens, which a decode-and-re-marshal through a generic map would not
+// preserve.
+func (h handle) Result() ([]byte, Status, error) {
+	st := h.e.status()
+	if !st.State.Terminal() || st.Result == nil {
+		return nil, st, nil
 	}
 	body, err := json.MarshalIndent(st.Result, "", "  ")
 	if err != nil {
-		WriteError(w, http.StatusInternalServerError, err.Error())
-		return
+		return nil, st, err
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	w.Write(append(body, '\n')) //nolint:errcheck // nothing to do about a failed response write
+	return append(body, '\n'), st, nil
 }
 
-// handleCancel cancels a job. A queued job is settled to canceled
-// immediately; a running one has its context canceled and settles when
-// the engine observes it (poll or stream to see the final Status, whose
-// Result carries Reason == "canceled"). Canceling a terminal job is an
-// idempotent no-op.
-func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
+// Snapshot reads the job's latest persisted checkpoint.
+func (h handle) Snapshot() ([]byte, error) {
+	if h.s.persist == nil {
+		return nil, errors.New("daemon runs without -data-dir; snapshots are not persisted")
 	}
+	data, err := h.s.persist.readCheckpoint(h.e.id)
+	if err != nil {
+		return nil, nil
+	}
+	return data, nil
+}
+
+// Cancel settles a queued job to canceled immediately; a running one has
+// its context canceled and settles when the engine observes it.
+func (h handle) Cancel() Status {
+	e := h.e
 	e.userCanceled.Store(true)
-	wasQueued := e.cancelQueued("canceled")
-	if wasQueued {
-		s.traceEvent(e, TraceSettled, string(StateCanceled)+" while queued", 0)
-		s.journalResult(e.id, StateCanceled, "canceled", nil)
+	if e.cancelQueued("canceled") {
+		h.s.traceEvent(e, TraceSettled, string(StateCanceled)+" while queued", 0)
+		h.s.journalResult(e.id, StateCanceled, "canceled", nil)
 	}
 	e.cancelRun()
-	st := e.status()
-	code := http.StatusOK
-	if !st.State.Terminal() {
-		code = http.StatusAccepted // mid-run: the engine will settle it shortly
-	}
-	WriteJSON(w, code, st)
+	return e.status()
 }
 
-// handleSnapshot serves the job's latest persisted checkpoint — the
-// durable snapshot a client can download, ship elsewhere, and feed back
-// through POST /v1/jobs/resume (or shapesolctl resume / job.Resume).
-func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
-	}
-	if s.persist == nil {
-		WriteError(w, http.StatusNotFound, "daemon runs without -data-dir; snapshots are not persisted")
-		return
-	}
-	data, err := s.persist.readCheckpoint(e.id)
-	if err != nil {
-		WriteError(w, http.StatusNotFound, "job "+e.id+" has no checkpoint (none captured yet, or it already settled)")
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.WriteHeader(http.StatusOK)
-	w.Write(data) //nolint:errcheck // nothing to do about a failed response write
-}
-
-// handleResume admits a snapshot (the raw bytes of a snapshot file) as a
-// new job that continues the frozen run. The snapshot is self-contained —
-// its embedded normalized job is validated like any submission — and the
-// admission goes through the same cache, journal and backpressure path,
-// so a snapshot of an already-cached deterministic run is answered
-// without re-simulation.
-func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		WriteError(w, http.StatusServiceUnavailable, "server draining")
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 256<<20))
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, "read snapshot: "+err.Error())
-		return
-	}
-	snapshot, err := snap.Decode(data)
-	if err != nil {
-		WriteError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	nj, spec, err := s.reg.ResumeJob(snapshot)
-	if err != nil {
-		WriteValidationError(w, err)
-		return
-	}
-	s.admit(w, nj, spec, true, data)
-}
-
-// handleEvents streams a job's progress as NDJSON: one frame per
-// publisher tick (see Config.FrameInterval), then exactly one "result"
-// frame with the terminal Status, then EOF. Subscribing to a finished
-// job yields the result frame immediately.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(f Frame) bool {
-		if err := enc.Encode(f); err != nil {
-			return false
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		return true
-	}
+// Events emits one frame per publisher tick (see Config.FrameInterval),
+// then the terminal Status as the result frame. Subscribing to a
+// finished job yields the result frame immediately.
+func (h handle) Events(ctx context.Context, emit func(Frame) bool) {
+	e := h.e
 	ch := e.subscribe()
 	// An initial snapshot frame, so a watcher sees the job's state
 	// without waiting out a long quiet stretch of the engine.
@@ -699,14 +509,14 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		select {
 		case f, open := <-ch:
 			if !open {
-				emit(e.resultFrame())
+				emit(e.status().ResultFrame())
 				return
 			}
 			if !emit(f) {
 				e.unsubscribe(ch)
 				return
 			}
-		case <-r.Context().Done():
+		case <-ctx.Done():
 			e.unsubscribe(ch)
 			return
 		}
@@ -737,10 +547,8 @@ type ParamInfo struct {
 	Min      int    `json:"min,omitempty"`
 }
 
-// ProtocolsPayload renders the registry as the GET /v1/protocols body.
-// Shared with the cluster coordinator, which serves the same listing
-// locally instead of proxying it.
-func ProtocolsPayload(reg *job.Registry) []ProtocolInfo {
+// protocolsPayload renders the registry as the GET /v1/protocols body.
+func protocolsPayload(reg *job.Registry) []ProtocolInfo {
 	names := reg.Names()
 	out := make([]ProtocolInfo, 0, len(names))
 	for _, name := range names {
@@ -769,10 +577,6 @@ func ProtocolsPayload(reg *job.Registry) []ProtocolInfo {
 	return out
 }
 
-func (s *Server) handleProtocols(w http.ResponseWriter, r *http.Request) {
-	WriteJSON(w, http.StatusOK, ProtocolsPayload(s.reg))
-}
-
 // health is the /healthz body.
 type health struct {
 	Status      string `json:"status"`
@@ -784,15 +588,16 @@ type health struct {
 	Protocols   string `json:"protocols"`
 }
 
-func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
+// Health implements Backend.
+func (s *Server) Health() any {
 	hits, misses := s.cache.Stats()
-	WriteJSON(w, http.StatusOK, health{
+	return health{
 		Status:      "ok",
 		Draining:    s.draining.Load(),
-		Jobs:        s.store.len(),
+		Jobs:        s.store.Len(),
 		CacheLen:    s.cache.Len(),
 		CacheHits:   hits,
 		CacheMisses: misses,
 		Protocols:   strings.Join(s.reg.Names(), ","),
-	})
+	}
 }

@@ -200,7 +200,7 @@ func TestQueueingBeyondPoolSize(t *testing.T) {
 		t.Fatalf("beyond-capacity submit: code = %d (%s), want 503", code, body)
 	}
 	// Shed load leaves no record behind: only the running + queued jobs.
-	if got := s.store.len(); got != 3 {
+	if got := s.store.Len(); got != 3 {
 		t.Fatalf("store len = %d after a 503, want 3", got)
 	}
 
@@ -287,7 +287,7 @@ func TestStoreRetentionBound(t *testing.T) {
 			t.Fatalf("retained job %s state = %q", id, st.State)
 		}
 	}
-	if got := s.store.len(); got != 2 {
+	if got := s.store.Len(); got != 2 {
 		t.Fatalf("store len = %d, want 2", got)
 	}
 }

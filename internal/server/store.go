@@ -89,13 +89,10 @@ type entry struct {
 	subs    map[chan Frame]struct{}
 }
 
-// markResumed flags the entry as continuing from a snapshot. The entry
-// is already published in the store (listings may be reading it), so the
-// write takes the entry lock.
-func (e *entry) markResumed() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.resumed = true
+// withID names a new entry as the store admits it (Table.Add).
+func (e *entry) withID(id string) *entry {
+	e.id = id
+	return e
 }
 
 // status snapshots the entry as its wire form.
@@ -124,10 +121,9 @@ func (e *entry) statusLocked() Status {
 	return st
 }
 
-// resultFrame renders the terminal Status as the stream's final frame.
-// Call only after the entry is terminal.
-func (e *entry) resultFrame() Frame {
-	st := e.status()
+// ResultFrame renders a terminal Status as an event stream's final
+// frame.
+func (st Status) ResultFrame() Frame {
 	return Frame{
 		Type:   "result",
 		ID:     st.ID,
@@ -137,14 +133,6 @@ func (e *entry) resultFrame() Frame {
 		Error:  st.Error,
 		Result: st.Result,
 	}
-}
-
-// setCached records a cache-served result on a just-created entry.
-func (e *entry) setCached(res *job.Result) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.cached = true
-	e.result = res
 }
 
 // setCancel attaches the run context's cancel function.
@@ -200,7 +188,7 @@ func (e *entry) cancelRun() {
 // subscribe registers a progress listener. The returned channel carries
 // progress frames and is closed when the job reaches a terminal state
 // (subscribing to a finished job returns an already-closed channel); the
-// subscriber then reads the final Status itself via resultFrame, so a
+// subscriber then reads the final Status itself via ResultFrame, so a
 // slow consumer can drop progress frames but never the outcome.
 func (e *entry) subscribe() chan Frame {
 	ch := make(chan Frame, 16)
@@ -261,141 +249,124 @@ func (e *entry) finish(state State, res *job.Result, errMsg string) {
 	e.subs = nil
 }
 
-// store is the in-memory job table. Retention is bounded: once the
-// table exceeds maxJobs, the oldest *terminal* entries are evicted as
-// new submissions arrive (live jobs are never dropped), so a
-// long-running daemon's memory is capped — an evicted id answers 404,
-// like an id that never existed.
-type store struct {
-	mu      sync.Mutex
-	seq     int64
-	maxJobs int
-	entries map[string]*entry
-	order   []string // insertion order, for listing and eviction
+// Table is an in-memory, insertion-ordered job table keyed by id. Ids
+// it issues are its prefix plus a sequence number (j1, j2, … on a
+// daemon, c1, c2, … on a coordinator). Retention is bounded: once the
+// table exceeds max items, the oldest *terminal* ones are evicted as new
+// ones arrive (live jobs are never dropped), so a long-running process's
+// memory is capped — an evicted id answers 404, like an id that never
+// existed.
+type Table[T any] struct {
+	mu       sync.Mutex
+	prefix   string
+	seq      int64
+	max      int
+	terminal func(T) bool
+	items    map[string]T
+	order    []string // insertion order, for listing and eviction
 }
 
-func newStore(maxJobs int) *store {
-	return &store{maxJobs: maxJobs, entries: make(map[string]*entry)}
+// NewTable returns a table issuing ids prefix1, prefix2, … that evicts
+// terminal items while it holds more than max (max < 1 evicts nothing);
+// terminal reports whether an item may be evicted. It runs under the table lock, so it may take the
+// item's own lock but must not call back into the table.
+func NewTable[T any](prefix string, max int, terminal func(T) bool) *Table[T] {
+	return &Table[T]{prefix: prefix, max: max, terminal: terminal, items: make(map[string]T)}
 }
 
-// add registers a new entry under a fresh id and returns it, evicting
-// the oldest settled entries beyond the retention bound.
-func (st *store) add(j job.Job, spec *job.Spec, key string, state State) *entry {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.seq++
-	return st.addLocked(fmt.Sprintf("j%d", st.seq), j, spec, key, state)
+// Add retains the item newItem builds for a fresh id and returns it.
+// newItem runs under the table lock, so ids enter the table in
+// sequence; it must not call back into the table.
+func (t *Table[T]) Add(newItem func(id string) T) T {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.seq++
+	id := fmt.Sprintf("%s%d", t.prefix, t.seq)
+	v := newItem(id)
+	t.putLocked(id, v)
+	return v
 }
 
-// addWithID registers an entry under an id recovered from the journal
-// (the caller keeps the sequence ahead of recovered ids via ensureSeq).
-func (st *store) addWithID(id string, j job.Job, spec *job.Spec, key string, state State) *entry {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.addLocked(id, j, spec, key, state)
+// Put retains v under an id issued before (a daemon's journal replay;
+// the caller keeps the sequence ahead of such ids via EnsureSeq).
+func (t *Table[T]) Put(id string, v T) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	t.putLocked(id, v)
 }
 
-// ensureSeq raises the id sequence to at least n.
-func (st *store) ensureSeq(n int64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if n > st.seq {
-		st.seq = n
+// EnsureSeq raises the id sequence to at least n.
+func (t *Table[T]) EnsureSeq(n int64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if n > t.seq {
+		t.seq = n
 	}
 }
 
-func (st *store) addLocked(id string, j job.Job, spec *job.Spec, key string, state State) *entry {
-	e := &entry{
-		id:    id,
-		job:   j,
-		spec:  spec,
-		key:   key,
-		state: state,
-	}
-	st.entries[e.id] = e
-	st.order = append(st.order, e.id)
-	st.pruneLocked()
-	return e
-}
-
-// pruneLocked evicts oldest-first terminal entries while the table is
-// over its bound. An entry's state is read under its own lock; a live
-// (queued/running) entry blocks nothing — eviction just skips past it.
-func (st *store) pruneLocked() {
-	if st.maxJobs < 1 || len(st.entries) <= st.maxJobs {
+// putLocked inserts and then evicts oldest-first terminal items while
+// the table is over its bound. A live item blocks nothing — eviction
+// just skips past it.
+func (t *Table[T]) putLocked(id string, v T) {
+	t.items[id] = v
+	t.order = append(t.order, id)
+	if t.max < 1 || len(t.items) <= t.max {
 		return
 	}
-	kept := st.order[:0]
-	for i, id := range st.order {
-		e := st.entries[id]
-		if len(st.entries) > st.maxJobs && e.status().State.Terminal() {
-			delete(st.entries, id)
+	kept := t.order[:0]
+	for i, have := range t.order {
+		if len(t.items) > t.max && t.terminal(t.items[have]) {
+			delete(t.items, have)
 			continue
 		}
-		if len(st.entries) <= st.maxJobs {
-			kept = append(kept, st.order[i:]...)
+		if len(t.items) <= t.max {
+			kept = append(kept, t.order[i:]...)
 			break
 		}
-		kept = append(kept, id)
+		kept = append(kept, have)
 	}
-	st.order = kept
+	t.order = kept
 }
 
-// remove forgets an entry that was never exposed as accepted (the
-// queue-full rejection path), so shed load does not grow the table.
-func (st *store) remove(id string) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if _, ok := st.entries[id]; !ok {
+// Remove forgets an item whose id was never exposed as accepted (a shed
+// or refused admission), so rejected load does not grow the table.
+func (t *Table[T]) Remove(id string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if _, ok := t.items[id]; !ok {
 		return
 	}
-	delete(st.entries, id)
-	for i, have := range st.order {
+	delete(t.items, id)
+	for i, have := range t.order {
 		if have == id {
-			st.order = append(st.order[:i], st.order[i+1:]...)
+			t.order = append(t.order[:i], t.order[i+1:]...)
 			break
 		}
 	}
 }
 
-// get looks an entry up by id.
-func (st *store) get(id string) (*entry, bool) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.entries[id]
-	return e, ok
+// Get looks an item up by id.
+func (t *Table[T]) Get(id string) (T, bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	v, ok := t.items[id]
+	return v, ok
 }
 
-// len returns the number of retained entries.
-func (st *store) len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.entries)
+// Len returns the number of retained items.
+func (t *Table[T]) Len() int {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return len(t.items)
 }
 
-// list snapshots every entry's Status in submission order.
-func (st *store) list() []Status {
-	st.mu.Lock()
-	ids := append([]string(nil), st.order...)
-	entries := make([]*entry, len(ids))
-	for i, id := range ids {
-		entries[i] = st.entries[id]
-	}
-	st.mu.Unlock()
-	out := make([]Status, len(entries))
-	for i, e := range entries {
-		out[i] = e.status()
-	}
-	return out
-}
-
-// all snapshots the entries themselves (drain walks them).
-func (st *store) all() []*entry {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	out := make([]*entry, 0, len(st.order))
-	for _, id := range st.order {
-		out = append(out, st.entries[id])
+// All snapshots the retained items in insertion order.
+func (t *Table[T]) All() []T {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := make([]T, 0, len(t.order))
+	for _, id := range t.order {
+		out = append(out, t.items[id])
 	}
 	return out
 }

@@ -2,7 +2,6 @@ package server
 
 import (
 	"log"
-	"net/http"
 	"time"
 )
 
@@ -32,12 +31,6 @@ const (
 	TraceSettled      = "settled"
 )
 
-// traceBody is the GET /v1/jobs/{id}/trace response.
-type traceBody struct {
-	ID     string       `json:"id"`
-	Events []TraceEvent `json:"events"`
-}
-
 // addTrace appends one event to the entry's in-memory trace and returns
 // it as stored. Timestamps strictly increase along a trace: an event
 // stamped no later than its predecessor (a coarse or stepped-back wall
@@ -46,11 +39,20 @@ type traceBody struct {
 func (e *entry) addTrace(ev TraceEvent) TraceEvent {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if n := len(e.trace); n > 0 && !ev.TS.After(e.trace[n-1].TS) {
-		ev.TS = e.trace[n-1].TS.Add(time.Nanosecond)
-	}
-	e.trace = append(e.trace, ev)
+	e.trace, ev = AppendTrace(e.trace, ev)
 	return ev
+}
+
+// AppendTrace appends ev to trace and returns both, keeping timestamps
+// strictly increasing: an event stamped no later than its predecessor (a
+// coarse or stepped-back wall clock, or a stamp taken before a racing
+// append) is moved to 1ns after it. The caller holds the lock that
+// guards trace; both roles' job records append through here.
+func AppendTrace(trace []TraceEvent, ev TraceEvent) ([]TraceEvent, TraceEvent) {
+	if n := len(trace); n > 0 && !ev.TS.After(trace[n-1].TS) {
+		ev.TS = trace[n-1].TS.Add(time.Nanosecond)
+	}
+	return append(trace, ev), ev
 }
 
 // traceEvents snapshots the trace.
@@ -84,14 +86,4 @@ func (s *Server) publishTrace(e *entry, ev TraceEvent) {
 			log.Printf("server: journal trace %s: %v", e.id, err)
 		}
 	}
-}
-
-// handleTrace serves a job's lifecycle trace in timestamp order (which
-// addTrace makes the recording order).
-func (s *Server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	e, ok := s.entryFor(w, r)
-	if !ok {
-		return
-	}
-	WriteJSON(w, http.StatusOK, traceBody{ID: e.id, Events: e.traceEvents()})
 }
