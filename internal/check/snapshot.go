@@ -76,15 +76,46 @@ func (e *Explorer[S]) RestoreMemento(m Memento[S]) error {
 	if m.Starved != e.starved {
 		return fmt.Errorf("check: memento starved prefix %d does not match explorer starved prefix %d", m.Starved, e.starved)
 	}
-	if int(m.Head) > len(m.NodeLen) {
-		return fmt.Errorf("check: memento head %d exceeds its %d nodes", m.Head, len(m.NodeLen))
+	// Mementos cross a trust boundary (the daemon resumes uploaded
+	// snapshots): every column is checked against the others before
+	// anything is sized or indexed by it. The slot total is summed in int,
+	// so crafted lengths cannot wrap it into agreement.
+	nodes := len(m.NodeLen)
+	if nodes == 0 {
+		return fmt.Errorf("check: memento has no root configuration")
 	}
-	var total int32
-	for _, l := range m.NodeLen {
-		total += l
+	if m.Head < 0 || int(m.Head) > nodes {
+		return fmt.Errorf("check: memento head %d outside its %d nodes", m.Head, nodes)
 	}
-	if int(total) != len(m.SlotState) || len(m.SlotState) != len(m.SlotClass) || len(m.SlotState) != len(m.SlotCount) {
+	for _, col := range [][]int32{m.Parent, m.ViaA, m.ViaB, m.ViaNA, m.ViaNB} {
+		if len(col) != nodes {
+			return fmt.Errorf("check: memento node columns are inconsistent")
+		}
+	}
+	total := 0
+	for i, l := range m.NodeLen {
+		if l < 0 {
+			return fmt.Errorf("check: memento node %d has negative slot count %d", i, l)
+		}
+		total += int(l)
+	}
+	if total != len(m.SlotState) || len(m.SlotState) != len(m.SlotClass) || len(m.SlotState) != len(m.SlotCount) {
 		return fmt.Errorf("check: memento slot columns are inconsistent")
+	}
+	for i := range m.NodeLen {
+		// BFS discovers a node after its parent, so parents point strictly
+		// backwards (the root has none): witness traces walking them end.
+		if m.Parent[i] < -1 || int(m.Parent[i]) >= i || (i > 0 && m.Parent[i] < 0) {
+			return fmt.Errorf("check: memento node %d has invalid parent %d", i, m.Parent[i])
+		}
+		if m.Parent[i] < 0 {
+			continue
+		}
+		for _, id := range [4]int32{m.ViaA[i], m.ViaB[i], m.ViaNA[i], m.ViaNB[i]} {
+			if id < 0 || int(id) >= len(m.States) {
+				return fmt.Errorf("check: memento node %d parent edge references unknown state id %d", i, id)
+			}
+		}
 	}
 
 	e.intern = make(map[S]int32, len(m.States))
@@ -103,7 +134,7 @@ func (e *Explorer[S]) RestoreMemento(m Memento[S]) error {
 		slots := make([]slot, l)
 		for k := 0; k < l; k++ {
 			sid := m.SlotState[off+k]
-			if int(sid) >= len(e.states) {
+			if sid < 0 || int(sid) >= len(e.states) {
 				return fmt.Errorf("check: memento node %d references unknown state id %d", i, sid)
 			}
 			slots[k] = slot{state: sid, class: m.SlotClass[off+k], count: m.SlotCount[off+k]}

@@ -3,6 +3,7 @@ package check_test
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"testing"
 
@@ -103,5 +104,46 @@ func TestRestoreMementoValidation(t *testing.T) {
 	}
 	if err := p.RestoreMemento(m); err == nil {
 		t.Fatalf("profile-less memento restored into a profiled explorer")
+	}
+}
+
+// TestRestoreMementoRejectsCraftedColumns is the regression test for a
+// crafted snapshot whose NodeLen {MaxInt32, MaxInt32, 2} wrapped an int32
+// sum to 0: its empty slot columns passed the consistency check, and
+// restore allocated 2^31 slots, a fatal out-of-memory error that no
+// recover can catch. The other cases would index out of range (short
+// columns, negative ids) or loop forever (a parent cycle) later on.
+func TestRestoreMementoRejectsCraftedColumns(t *testing.T) {
+	a, _ := midrunExplorer(t, 16)
+	for name, corrupt := range map[string]func(m *check.Memento[string]){
+		"wrapping slot counts": func(m *check.Memento[string]) {
+			m.NodeLen = []int32{math.MaxInt32, math.MaxInt32, 2}
+			m.SlotState, m.SlotClass, m.SlotCount = nil, nil, nil
+			m.Parent = []int32{-1, 0, 1}
+			m.ViaA, m.ViaB, m.ViaNA, m.ViaNB = make([]int32, 3), make([]int32, 3), make([]int32, 3), make([]int32, 3)
+			m.Head = 0
+		},
+		"no nodes": func(m *check.Memento[string]) {
+			m.NodeLen, m.SlotState, m.SlotClass, m.SlotCount = nil, nil, nil, nil
+			m.Parent, m.ViaA, m.ViaB, m.ViaNA, m.ViaNB = nil, nil, nil, nil, nil
+			m.Head = 0
+		},
+		"negative slot count": func(m *check.Memento[string]) { m.NodeLen[0] = -1 },
+		"negative head":       func(m *check.Memento[string]) { m.Head = -1 },
+		"short parent column": func(m *check.Memento[string]) { m.Parent = m.Parent[1:] },
+		"short via column":    func(m *check.Memento[string]) { m.ViaNB = m.ViaNB[1:] },
+		"parent cycle":        func(m *check.Memento[string]) { m.Parent[1] = 1 },
+		"second root":         func(m *check.Memento[string]) { m.Parent[1] = -1 },
+		"unknown edge state":  func(m *check.Memento[string]) { m.ViaA[1] = int32(len(m.States)) },
+		"negative state id":   func(m *check.Memento[string]) { m.SlotState[0] = -1 },
+	} {
+		m := a.Memento()
+		corrupt(&m)
+		if err := check.New(64, haltProto{}, check.Options{}).RestoreMemento(m); err == nil {
+			t.Errorf("%s: restore accepted the memento", name)
+		}
+	}
+	if err := check.New(64, haltProto{}, check.Options{}).RestoreMemento(a.Memento()); err != nil {
+		t.Fatalf("intact memento rejected: %v", err)
 	}
 }

@@ -4,11 +4,16 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
+	"shapesol/internal/check"
+	"shapesol/internal/counting"
 	"shapesol/internal/grid"
+	"shapesol/internal/rules"
+	"shapesol/internal/sim"
 	"shapesol/internal/snap"
 )
 
@@ -249,5 +254,81 @@ func TestParamsShapeJSONRoundTrip(t *testing.T) {
 	b := Job{Protocol: "replication", Params: Params{Shape: partial}}
 	if a.CacheKey() == b.CacheKey() {
 		t.Error("cache key ignores the shape's bond set")
+	}
+}
+
+// TestResumeRejectsCraftedEngineState replays two crafted snapshots that
+// killed the daemon through POST /v1/jobs/resume. Each is a well-framed
+// container whose engine state decodes but sizes an allocation from a
+// field nothing checked, so the resume ended in a fatal out-of-memory
+// error that no recover can catch: a stabilize memento claiming 1<<40
+// component slots, and a check memento whose NodeLen {MaxInt32, MaxInt32,
+// 2} wrapped an int32 sum to the length of its empty slot columns. Both
+// must now settle as resume errors.
+func TestResumeRejectsCraftedEngineState(t *testing.T) {
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		job     Job
+		corrupt func(t *testing.T, state []byte) any
+	}{
+		{"stabilize", Job{Protocol: "stabilize", Params: Params{Table: "line", N: 16}, Seed: 1},
+			func(t *testing.T, state []byte) any {
+				var m sim.Memento[rules.State]
+				if err := snap.DecodeState(state, &m); err != nil {
+					t.Fatal(err)
+				}
+				m.NumSlots = 1 << 40
+				return &m
+			}},
+		{"counting-upper-bound.check", Job{Protocol: "counting-upper-bound", Engine: EngineCheck, Params: Params{N: 60}, Seed: 1},
+			func(t *testing.T, state []byte) any {
+				var m check.Memento[counting.UBState]
+				if err := snap.DecodeState(state, &m); err != nil {
+					t.Fatal(err)
+				}
+				m.NodeLen = []int32{math.MaxInt32, math.MaxInt32, 2}
+				m.SlotState, m.SlotClass, m.SlotCount = nil, nil, nil
+				m.Parent = []int32{-1, 0, 1}
+				m.ViaA, m.ViaB, m.ViaNA, m.ViaNB = make([]int32, 3), make([]int32, 3), make([]int32, 3), make([]int32, 3)
+				m.Head = 0
+				return m
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var frozen *snap.Snapshot
+			observed := tc.job
+			observed.Checkpoint = func(_ int64, capture func() (*snap.Snapshot, error)) {
+				if frozen == nil {
+					s, err := capture()
+					if err != nil {
+						t.Fatal(err)
+					}
+					frozen = s
+				}
+			}
+			if _, err := Run(ctx, observed); err != nil {
+				t.Fatal(err)
+			}
+			if frozen == nil {
+				t.Fatal("run finished without a checkpoint tick")
+			}
+			state, err := snap.EncodeState(tc.corrupt(t, frozen.State))
+			if err != nil {
+				t.Fatal(err)
+			}
+			frozen.State = state
+			data, err := frozen.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			decoded, err := snap.Decode(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Resume(ctx, decoded); err == nil {
+				t.Fatal("resume accepted the crafted engine state")
+			}
+		})
 	}
 }

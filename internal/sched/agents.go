@@ -191,6 +191,14 @@ func (a *Agents) NextPending() int64 {
 	return a.clock.NextPending()
 }
 
+// FaultBacklog is the fault clock's Backlog at step; 0 without a clock.
+func (a *Agents) FaultBacklog(step int64) int64 {
+	if a.clock == nil {
+		return 0
+	}
+	return a.clock.Backlog(step)
+}
+
 // setFlags installs agent k's new flag byte, keeping the eligibility
 // weights and census counters in sync.
 func (a *Agents) setFlags(k int, f uint8) {

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 
 	"shapesol/internal/wrand"
 )
@@ -156,6 +157,25 @@ func (c *Clock) NextPending() int64 {
 	return at
 }
 
+// Backlog returns how many mean gaps the most overdue lane's next firing
+// lies behind step: about how many events NextDue would deliver at once
+// for a run standing at step. It is 0 when nothing is overdue, as on a
+// clock drained at step, and math.MaxInt64 when step reaches a disabled
+// lane's sentinel, past which that lane would fire on every step.
+func (c *Clock) Backlog(step int64) int64 {
+	var worst int64
+	for e := Event(0); e < numEvents; e++ {
+		switch {
+		case c.next[e] > step:
+		case c.means[e] == 0:
+			return math.MaxInt64
+		default:
+			worst = max(worst, (step-c.next[e])/c.means[e])
+		}
+	}
+	return worst
+}
+
 // RNG exposes the fault stream's generator for victim selection: which
 // agent crashes/freezes/departs is fault randomness, not interaction
 // randomness, so it must not consume the engine stream.
@@ -177,8 +197,16 @@ func (c *Clock) State() ClockState {
 }
 
 // SetState reinstalls an exported clock state. The event means come from
-// the profile (re-normalized at restore time), not the state blob.
+// the profile (re-normalized at restore time), not the state blob, and a
+// state the profile cannot produce is rejected: a lane the profile
+// disables must stay retired (it would otherwise fire on every step), and
+// an enabled lane's next firing is at step 1 or later.
 func (c *Clock) SetState(s ClockState) error {
+	for e := Event(0); e < numEvents; e++ {
+		if next := s.Next[e]; next < 1 || (c.means[e] == 0 && next != noEvent) {
+			return fmt.Errorf("sched: clock lane %v scheduled at step %d", e, next)
+		}
+	}
 	if err := c.rng.SetState(s.RNG); err != nil {
 		return fmt.Errorf("sched: clock %w", err)
 	}

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -223,6 +224,38 @@ func TestClockDeterminismAndResume(t *testing.T) {
 	for i := range full {
 		if full[i] != resumed[i] {
 			t.Fatalf("event %d differs: full %s, resumed %s", i, full[i], resumed[i])
+		}
+	}
+}
+
+// TestClockStateValidationAndBacklog checks that SetState rejects clock
+// states the profile cannot produce — a disabled lane scheduled (it would
+// fire on every step once due) or a lane firing before step 1 — and that
+// Backlog counts the mean gaps the most overdue lane lags behind a step.
+func TestClockStateValidationAndBacklog(t *testing.T) {
+	p := Profile{CrashEvery: 100}
+	st := NewClock(p, 1).State()
+	for name, corrupt := range map[string]func(s *ClockState){
+		"disabled lane scheduled": func(s *ClockState) { s.Next[EvArrive] = 50 },
+		"lane before step 1":      func(s *ClockState) { s.Next[EvCrash] = 0 },
+	} {
+		bad := st
+		corrupt(&bad)
+		if err := NewClock(p, 1).SetState(bad); err == nil {
+			t.Errorf("%s: SetState accepted %+v", name, bad)
+		}
+	}
+	c := NewClock(p, 1)
+	if err := c.SetState(st); err != nil {
+		t.Fatal(err)
+	}
+	next := st.Next[EvCrash]
+	for _, tc := range []struct{ step, want int64 }{
+		{next - 1, 0}, {next, 0}, {next + 99, 0}, {next + 1000, 10},
+		{noEvent, math.MaxInt64}, // the disabled lanes' sentinel is due
+	} {
+		if got := c.Backlog(tc.step); got != tc.want {
+			t.Errorf("Backlog(%d) = %d, want %d", tc.step, got, tc.want)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"shapesol/internal/sched"
@@ -239,5 +240,93 @@ func TestSimRestoreRejectsProfileMismatch(t *testing.T) {
 	}
 	if err := faulted.RestoreMemento(bare.Memento()); err == nil {
 		t.Fatal("profile-less memento restored into faulted world")
+	}
+}
+
+// TestCheckCadenceAcrossFaultJumps pins the CheckEvery cadence where it
+// is easiest to get wrong. Under a crash-and-churn profile, departures
+// leave a single node, the scheduler runs dry, and Run jumps the step
+// clock to the next fault event, skipping multiples of the period. The
+// cadence must still fire on exactly the multiples the clock lands on,
+// for a power-of-two period and for another one. The firing count and
+// step sum were recorded from the engine that tested the cadence with a
+// division per step. A run restored from a memento taken off the cadence
+// must fire the same tail.
+func TestCheckCadenceAcrossFaultJumps(t *testing.T) {
+	profile := sched.Profile{
+		CrashEvery: 300, RecoverEvery: 200,
+		ArriveEvery: 700, DepartEvery: 400,
+	}
+	for _, tc := range []struct {
+		period     int64
+		fired, sum int64
+		result     Result
+	}{
+		{64, 225, 5_008_704, Result{Steps: 39_804, Reason: ReasonNoInteraction}},
+		{48, 297, 6_622_944, Result{Steps: 39_804, Reason: ReasonNoInteraction}},
+	} {
+		var fired []int64
+		build := func() *World[string] {
+			w := New(2, inertProtocol{}, Options{Seed: 4, MaxSteps: 40_000, CheckEvery: tc.period,
+				Progress: func(s int64) { fired = append(fired, s) }})
+			if err := w.ApplyProfile(profile); err != nil {
+				t.Fatal(err)
+			}
+			return w
+		}
+		base := build()
+		stepN(t, base, 1000+int(tc.period)/2)
+		m := base.Memento()
+		res := base.Run()
+		baseFired := fired
+
+		jumps, sum := 0, int64(0)
+		for k, s := range baseFired {
+			if s%tc.period != 0 {
+				t.Fatalf("period %d: cadence fired at step %d", tc.period, s)
+			}
+			if k > 0 && s-baseFired[k-1] > tc.period {
+				jumps++ // only a fault-clock jump skips a multiple
+			}
+			sum += s
+		}
+		if jumps == 0 {
+			t.Fatalf("period %d: no fault-clock jump skipped a multiple", tc.period)
+		}
+		if int64(len(baseFired)) != tc.fired || sum != tc.sum || res != tc.result {
+			t.Errorf("period %d: fired %d times summing to %d with %+v; want %d, %d, %+v",
+				tc.period, len(baseFired), sum, res, tc.fired, tc.sum, tc.result)
+		}
+
+		fired = nil
+		resumed := build()
+		if err := resumed.RestoreMemento(m); err != nil {
+			t.Fatal(err)
+		}
+		if got := resumed.Run(); got != res {
+			t.Fatalf("period %d: resumed %+v, want %+v", tc.period, got, res)
+		}
+		if len(fired) != len(baseFired) {
+			t.Fatalf("period %d: resumed run fired %d times, want %d", tc.period, len(fired), len(baseFired))
+		}
+		for k := range fired {
+			if fired[k] != baseFired[k] {
+				t.Fatalf("period %d: resumed firing %d at step %d, want %d", tc.period, k, fired[k], baseFired[k])
+			}
+		}
+	}
+}
+
+// TestCheckDueMatchesModulo checks the cadence test against the division
+// it replaces, for power-of-two periods, other periods, the degenerate
+// period 1 and negative ones, at step counts on both sides of zero.
+func TestCheckDueMatchesModulo(t *testing.T) {
+	for _, period := range []int64{1, 2, 3, 48, 64, 256, 1000, -4, -7, math.MaxInt64, math.MinInt64} {
+		mask := checkMask(period)
+		for step := int64(-600); step <= 600; step++ {
+			if got, want := checkDue(step, period, mask), step%period == 0; got != want {
+				t.Fatalf("period %d step %d: due %v, want %v", period, step, got, want)
+			}
+		}
 	}
 }

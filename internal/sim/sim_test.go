@@ -364,7 +364,7 @@ func TestFeasiblePlacementsOverlap(t *testing.T) {
 	// Node 1 = (1,0) of square A; node 7 = (1,1) of square B.
 	pi := PortRef{Node: 1, Port: grid.PX}
 	pj := PortRef{Node: 7, Port: grid.NX}
-	placements := w.feasiblePlacements(pi, pj)
+	placements := w.feasibleRotations(pi, pj)
 	// dB = -x must map to -x: identity. Placing B's (1,1) at (2,0) puts
 	// B's (0,1) onto A's (1,0)... that is node 1's own cell? B's cells map
 	// to (1,-1),(2,-1),(1,0),(2,0): (1,0) collides with A. Infeasible.
@@ -378,13 +378,14 @@ func TestFeasiblePlacementsOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := PortRef{Node: 4, Port: grid.NX}
-	if got := len(w2.feasiblePlacements(PortRef{Node: 1, Port: grid.PX}, free)); got != 1 {
+	if got := len(w2.feasibleRotations(PortRef{Node: 1, Port: grid.PX}, free)); got != 1 {
 		t.Fatalf("free-node placement count = %d, want 1", got)
 	}
 }
 
-// scanPlacements is the reference of feasiblePlacements: every aligning
-// rotation, kept when no cell of pj's component lands on a cell of pi's.
+// scanPlacements is the reference of feasibleRotations and placement:
+// every aligning rotation's isometry, kept when no cell of pj's component
+// lands on a cell of pi's.
 func scanPlacements[S any](w *World[S], pi, pj PortRef) []grid.Isometry {
 	ca := w.comps[w.nodes[pi.Node].comp]
 	cb := w.comps[w.nodes[pj.Node].comp]
@@ -406,7 +407,7 @@ scan:
 }
 
 // TestLoneNodePlacementsMatchScan checks the lone-node shortcut of
-// feasiblePlacements against the full collision scan: on random 2D and 3D
+// feasibleRotations against the full collision scan: on random 2D and 3D
 // worlds mid-run, every open-port pair across two components (in both
 // orders, lone or not) must get the same placements, in the same order.
 func TestLoneNodePlacementsMatchScan(t *testing.T) {
@@ -432,7 +433,10 @@ func TestLoneNodePlacementsMatchScan(t *testing.T) {
 						}
 						for _, pi := range ca.open.Items() {
 							for _, pj := range cb.open.Items() {
-								got := append([]grid.Isometry(nil), w.feasiblePlacements(pi, pj)...)
+								var got []grid.Isometry
+								for _, g := range w.feasibleRotations(pi, pj) {
+									got = append(got, w.placement(pi, pj, g))
+								}
 								want := scanPlacements(w, pi, pj)
 								if len(got) != len(want) {
 									t.Fatalf("dim %d seed %d: %v-%v: %d placements, scan finds %d",

@@ -31,8 +31,9 @@ type ComponentMemento struct {
 // Memento is the complete serializable state of a sim World: nodes,
 // components, the free-slot recycling stack, the bonded and latent pair
 // sets (order-sensitive, like the open-port sets) and the run counters
-// and RNG. The open-port Fenwick tree and its aggregates are derived from
-// the component data and rebuilt on restore.
+// and RNG. The live components' slots and FreeSlots partition
+// [0, NumSlots). The per-slot open-port counts, their ticket table and
+// aggregates are derived from the component data and rebuilt on restore.
 type Memento[S any] struct {
 	N              int
 	Dim            int
@@ -55,6 +56,15 @@ type Memento[S any] struct {
 	// exceed N; Sched's flags say which ids are still present.
 	Sched *sched.AgentsState
 }
+
+// maxFaultBacklog bounds how far a restored fault clock may lag the step
+// count, in mean gaps of its most overdue lane. A memento captured on the
+// Progress cadence has drained every due event (backlog 0), and one
+// captured between hand-driven steps lags by the steps taken since; a
+// backlog beyond this bound only comes from a crafted snapshot, and would
+// have the next CheckEvery window deliver an unbounded burst of events
+// (arrivals included) before the run could be canceled.
+const maxFaultBacklog = 1024
 
 // Memento captures the World's current state. Everything is deep-copied,
 // so the capture stays valid while the run continues. Capture only
@@ -102,9 +112,15 @@ func (w *World[S]) Memento() *Memento[S] {
 // have been built with the same population size, dimension and protocol;
 // its own options (budget, callbacks, stop conditions) stay in effect.
 // Components, bonds and the order-sensitive sampling sets are installed
-// verbatim; the cell maps, halted tallies and the open-port weight tree
-// are rebuilt. After a successful restore the World continues the
-// captured trajectory exactly.
+// verbatim; the cell maps, halted tallies and the open-port counts are
+// rebuilt. After a successful restore the World continues the captured
+// trajectory exactly.
+//
+// Snapshots cross trust boundaries (the daemon resumes uploaded bytes),
+// so a memento no saved world could produce is rejected with an error,
+// never a panic: nothing is sized by NumSlots before the slot partition
+// bounds it, and the restored world must pass Validate. After an error
+// the World is unusable.
 func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 	if m.N != w.n {
 		return fmt.Errorf("sim: snapshot population %d, world has %d", m.N, w.n)
@@ -116,6 +132,10 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 		return fmt.Errorf("sim: snapshot scheduler state presence %v, world profile says %v",
 			m.Sched != nil, w.agents != nil)
 	}
+	if m.Steps < 0 || m.Effective < 0 || m.Effective > m.Steps || m.Merges < 0 || m.Splits < 0 ||
+		m.IneffectiveRun < 0 || m.IneffectiveRun > m.Steps {
+		return fmt.Errorf("sim: snapshot counters are inconsistent")
+	}
 	nNodes := w.n
 	if m.Sched != nil {
 		nNodes = len(m.Sched.Flags)
@@ -125,11 +145,17 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 	}
 	for id := range m.Nodes {
 		nm := &m.Nodes[id]
+		if nm.Rot >= grid.NumRots || (m.Dim == 2 && !nm.Rot.Planar()) {
+			return fmt.Errorf("sim: node %d has invalid rotation %d", id, nm.Rot)
+		}
 		for p, other := range nm.BondedTo {
 			if other < -1 || int(other) >= nNodes {
 				return fmt.Errorf("sim: node %d port %d bonded to out-of-range node %d", id, p, other)
 			}
 		}
+	}
+	if err := checkSlots(m.NumSlots, m.Comps, m.FreeSlots); err != nil {
+		return err
 	}
 	if err := validatePairs("bonded", m.Bonded, nNodes); err != nil {
 		return err
@@ -143,6 +169,9 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 	if w.agents != nil {
 		if err := w.agents.RestoreState(m.Sched); err != nil {
 			return err
+		}
+		if b := w.agents.FaultBacklog(m.Steps); b > maxFaultBacklog {
+			return fmt.Errorf("sim: snapshot fault clock lags its step count by %d mean gaps", b)
 		}
 	}
 
@@ -162,20 +191,9 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 		}
 	}
 
-	capSlots := m.NumSlots
-	if capSlots < nNodes {
-		capSlots = nNodes
-	}
 	w.comps = make([]*component, m.NumSlots)
-	w.weights = wrand.NewFenwick(capSlots)
-	w.openT, w.openS2 = 0, 0
+	w.tickets.reset(m.NumSlots)
 	for _, cm := range m.Comps {
-		if cm.Slot < 0 || cm.Slot >= m.NumSlots {
-			return fmt.Errorf("sim: snapshot component slot %d out of range [0,%d)", cm.Slot, m.NumSlots)
-		}
-		if w.comps[cm.Slot] != nil {
-			return fmt.Errorf("sim: snapshot reuses component slot %d", cm.Slot)
-		}
 		c := &component{
 			slot:  cm.Slot,
 			nodes: append([]int(nil), cm.Nodes...),
@@ -219,6 +237,43 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 	w.merges = m.Merges
 	w.splits = m.Splits
 	w.ineffectiveRun = m.IneffectiveRun
+	if err := w.Validate(); err != nil {
+		return fmt.Errorf("sim: snapshot world is inconsistent: %w", err)
+	}
+	return nil
+}
+
+// checkSlots rejects component slots and a free-slot stack that do not
+// partition [0, numSlots) exactly, as they do in every saved world: a
+// slot out of range, claimed twice, or neither live nor free. It runs
+// before anything is sized by numSlots, which it bounds by the decoded
+// data.
+func checkSlots(numSlots int, comps []ComponentMemento, free []int) error {
+	if numSlots != len(comps)+len(free) {
+		return fmt.Errorf("sim: snapshot has %d slots but %d components and %d free slots",
+			numSlots, len(comps), len(free))
+	}
+	used := make([]bool, numSlots)
+	claim := func(kind string, slot int) error {
+		if slot < 0 || slot >= numSlots {
+			return fmt.Errorf("sim: snapshot %s slot %d out of range [0,%d)", kind, slot, numSlots)
+		}
+		if used[slot] {
+			return fmt.Errorf("sim: snapshot reuses %s slot %d", kind, slot)
+		}
+		used[slot] = true
+		return nil
+	}
+	for _, cm := range comps {
+		if err := claim("component", cm.Slot); err != nil {
+			return err
+		}
+	}
+	for _, slot := range free {
+		if err := claim("free", slot); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -1,9 +1,13 @@
 package sim
 
 import (
+	"math"
 	"testing"
 
 	"shapesol/internal/grid"
+	"shapesol/internal/rules"
+	"shapesol/internal/sched"
+	"shapesol/internal/snap"
 )
 
 // stepN advances w by n scheduler steps, tolerating ErrNoInteraction.
@@ -157,5 +161,167 @@ func TestRestoreMementoRejectsCorrupt(t *testing.T) {
 		Open: append(append([]PortRef(nil), m.Comps[0].Open...), m.Comps[0].Open[0])}
 	if err := fresh().RestoreMemento(&bad); err == nil {
 		t.Fatal("accepted a duplicate open port (would panic the sampling set)")
+	}
+}
+
+// TestRestoreMementoBoundsSlots is the regression test for a crafted
+// snapshot of a stabilizing line run that claimed 1<<40 component slots:
+// restore allocated by NumSlots before checking anything and died with a
+// fatal out-of-memory error, which no recover can catch. In every saved
+// world the components' slots and the free-slot stack partition
+// [0, NumSlots), so a memento breaking that is rejected before anything
+// is sized by NumSlots; FreeSlots entries out of range or live (a panic
+// or a corrupt world at the next split) are rejected with it.
+func TestRestoreMementoBoundsSlots(t *testing.T) {
+	build := func() *World[rules.State] {
+		return New(16, NewTableProtocol(lineTable(t)), Options{Seed: 1})
+	}
+	base := build()
+	stepN(t, base, 20_000)
+	m := base.Memento()
+	if len(m.FreeSlots) == 0 {
+		t.Fatal("no merge freed a slot; run longer")
+	}
+	for name, corrupt := range map[string]func(m *Memento[rules.State]){
+		"huge NumSlots":       func(m *Memento[rules.State]) { m.NumSlots = 1 << 40 },
+		"unclaimed slot":      func(m *Memento[rules.State]) { m.NumSlots++ },
+		"free slot too large": func(m *Memento[rules.State]) { m.FreeSlots[0] = m.NumSlots },
+		"negative free slot":  func(m *Memento[rules.State]) { m.FreeSlots[0] = -1 },
+		"free slot is live":   func(m *Memento[rules.State]) { m.FreeSlots[0] = m.Comps[0].Slot },
+	} {
+		bad := *m
+		bad.FreeSlots = append([]int(nil), m.FreeSlots...)
+		corrupt(&bad)
+		if err := build().RestoreMemento(&bad); err == nil {
+			t.Errorf("%s: restore accepted the memento", name)
+		}
+	}
+	if err := build().RestoreMemento(m); err != nil {
+		t.Fatalf("intact memento rejected: %v", err)
+	}
+}
+
+// fuzzProfile is the crash-and-churn profile of FuzzSimRestore's faulted
+// seed; a memento carrying scheduler state restores into a world built
+// with it.
+var fuzzProfile = sched.Profile{
+	CrashEvery: 400, RecoverEvery: 300, ArriveEvery: 500, DepartEvery: 700, MaxChurn: 12,
+}
+
+// fuzzWorld builds FuzzSimRestore's world: 12 churning nodes, with the
+// fuzz profile when faulted.
+func fuzzWorld(t testing.TB, faulted bool) *World[int] {
+	w := New(12, churnProtocol{}, Options{Seed: 5, CheckEvery: 64})
+	if faulted {
+		if err := w.ApplyProfile(fuzzProfile); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return w
+}
+
+// FuzzSimRestore feeds hostile engine state to RestoreMemento, as the
+// daemon does when it resumes an uploaded snapshot: the gob payload of a
+// captured memento (one bare, one taken mid-run under crash and churn),
+// mutated. RestoreMemento must either return an error or leave a world
+// that passes Validate and takes 1000 steps without panicking.
+func FuzzSimRestore(f *testing.F) {
+	for _, faulted := range []bool{false, true} {
+		w := fuzzWorld(f, faulted)
+		w.opts.MaxSteps = 3_000
+		w.Run()
+		data, err := snap.EncodeState(w.Memento())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m Memento[int]
+		if snap.DecodeState(data, &m) != nil {
+			return
+		}
+		w := fuzzWorld(t, m.Sched != nil)
+		if w.RestoreMemento(&m) != nil {
+			return
+		}
+		if err := w.Validate(); err != nil {
+			t.Fatalf("restored world fails Validate: %v", err)
+		}
+		if w.steps > math.MaxInt64-1000 { // no budget above the clock: step by hand
+			for i := 0; i < 1000; i++ {
+				if _, err := w.Step(); err != nil {
+					return
+				}
+			}
+			return
+		}
+		w.opts.MaxSteps = w.steps + 1000
+		w.Run()
+	})
+}
+
+// TestRestoreMementoValidatesWorld covers the range checks and the final
+// Validate of RestoreMemento: each memento below is well-typed but no
+// saved world looks like it, and most would panic or corrupt the world
+// on a later step.
+func TestRestoreMementoValidatesWorld(t *testing.T) {
+	base := New(12, churnProtocol{}, Options{Seed: 3})
+	stepN(t, base, 4_000)
+	m := base.Memento()
+	multi := -1 // a component with at least two nodes
+	for i, cm := range m.Comps {
+		if len(cm.Nodes) > 1 {
+			multi = i
+			break
+		}
+	}
+	if multi < 0 {
+		t.Fatal("no multi-node component to corrupt")
+	}
+	clone := func() *Memento[int] {
+		c := *m
+		c.Nodes = append([]NodeMemento[int](nil), m.Nodes...)
+		c.Comps = append([]ComponentMemento(nil), m.Comps...)
+		return &c
+	}
+	for name, corrupt := range map[string]func(c *Memento[int]){
+		"rotation out of range": func(c *Memento[int]) { c.Nodes[0].Rot = grid.NumRots },
+		"3D rotation in 2D": func(c *Memento[int]) {
+			for _, r := range grid.AllRots() {
+				if !r.Planar() {
+					c.Nodes[0].Rot = r
+					return
+				}
+			}
+		},
+		"negative step count":   func(c *Memento[int]) { c.Steps = -1 },
+		"effective above steps": func(c *Memento[int]) { c.Effective = c.Steps + 1 },
+		"empty component":       func(c *Memento[int]) { c.Comps[multi].Nodes = nil },
+		"node off its cell": func(c *Memento[int]) {
+			id := c.Comps[multi].Nodes[0]
+			c.Nodes[id].Pos = grid.Pos{X: 1000}
+		},
+		"bond through 3D port": func(c *Memento[int]) {
+			a, b := c.Comps[multi].Nodes[0], c.Comps[multi].Nodes[1]
+			c.Nodes[a].BondedTo[grid.PZ] = int32(b)
+		},
+	} {
+		c := clone()
+		corrupt(c)
+		if err := New(12, churnProtocol{}, Options{Seed: 3}).RestoreMemento(c); err == nil {
+			t.Errorf("%s: restore accepted the memento", name)
+		}
+	}
+
+	// A faulted memento whose step count runs far ahead of its fault
+	// clock would have the first cadence deliver a burst of events.
+	faulted := fuzzWorld(t, true)
+	faulted.opts.MaxSteps = 2_000
+	faulted.Run()
+	fm := faulted.Memento()
+	fm.Steps += 1 << 40
+	if err := fuzzWorld(t, true).RestoreMemento(fm); err == nil {
+		t.Error("restore accepted a fault clock lagging 2^40 steps")
 	}
 }

@@ -38,7 +38,7 @@ func (w *World[S]) Step() (StepInfo, error) {
 	for attempt := 0; attempt < maxSampleAttempts; attempt++ {
 		w1 := int64(w.bonded.Len())
 		w2 := int64(w.latent.Len())
-		w3 := (w.openT*w.openT - w.openS2) / 2
+		w3 := (w.tickets.total*w.tickets.total - w.tickets.sumSq) / 2
 		if w.agents != nil {
 			w3 = w.agents.ScaleInter(w3)
 		}
@@ -59,12 +59,11 @@ func (w *World[S]) Step() (StepInfo, error) {
 			if !ok {
 				continue
 			}
-			placements := w.feasiblePlacements(pi, pj)
-			if len(placements) == 0 {
+			rots := w.feasibleRotations(pi, pj)
+			if len(rots) == 0 {
 				continue // reject; restart the whole draw to stay uniform
 			}
-			m := placements[w.rng.Intn(len(placements))]
-			return w.fireInter(pi, pj, m), nil
+			return w.fireInter(pi, pj, rots[w.rng.Intn(len(rots))]), nil
 		}
 	}
 	return w.stepExhaustive()
@@ -78,14 +77,11 @@ func (w *World[S]) Step() (StepInfo, error) {
 // weights remain exact.
 func (w *World[S]) sampleOpenPair() (PortRef, PortRef, bool) {
 	for attempt := 0; attempt < maxSampleAttempts; attempt++ {
-		si, ok := w.weights.Sample(w.rng)
+		si, ok := w.tickets.sample(w.rng)
 		if !ok {
 			return PortRef{}, PortRef{}, false
 		}
-		sj, ok := w.weights.Sample(w.rng)
-		if !ok {
-			return PortRef{}, PortRef{}, false
-		}
+		sj, _ := w.tickets.sample(w.rng)
 		if si == sj {
 			continue
 		}
@@ -96,38 +92,47 @@ func (w *World[S]) sampleOpenPair() (PortRef, PortRef, bool) {
 	return PortRef{}, PortRef{}, false
 }
 
-// feasiblePlacements returns the isometries mapping pj's component frame
-// into pi's component frame that align the two ports at unit distance
-// without any cell collision. In 2D there is at most one; in 3D up to four.
-// Both ports must be open, as every port the scheduler samples is.
+// feasibleRotations returns the rotations of pj's component frame that
+// align pj's port against pi's at unit distance without any cell
+// collision, in rotsMapping order; placement turns one into the isometry
+// that maps pj's component frame into pi's. In 2D there is at most one;
+// in 3D up to four. Both ports must be open, as every port the scheduler
+// samples is. This is the one enumeration of feasible placements: Step,
+// stepExhaustive and the tests all read it.
 //
-// When either component is a lone node the collision scan is skipped:
-// every aligning rotation is feasible. Placed into pi's component, pj's
-// lone node lands on the cell pi's open port faces, which is free; and
-// seen from pj's component, pi's lone node lands on the cell pj's open
-// port faces, which is free too. The placement list, and so the draw from
-// it, is exactly the one the scan would return.
+// When either component is a lone node every aligning rotation is
+// feasible, and the list is rotsMapping's own. Placed into pi's
+// component, pj's lone node lands on the cell pi's open port faces, which
+// is free; and seen from pj's component, pi's lone node lands on the cell
+// pj's open port faces, which is free too. So no isometry is built: the
+// step draws from the rotation list, and fireInter builds the isometry
+// for merge only when the pair bonds.
 //
-// The returned slice aliases a per-world scratch buffer: it is only valid
-// until the next call (stepExhaustive copies it when it must retain
-// results).
-func (w *World[S]) feasiblePlacements(pi, pj PortRef) []grid.Isometry {
-	ca := w.comps[w.nodes[pi.Node].comp]
-	cb := w.comps[w.nodes[pj.Node].comp]
-	dA := w.worldDir(pi.Node, pi.Port)
-	target := w.nodes[pi.Node].pos.Step(dA)
-	dB := w.worldDir(pj.Node, pj.Port)
-	lone := len(ca.nodes) == 1 || len(cb.nodes) == 1
-
-	out := w.isoBuf[:0]
-	for _, g := range w.rotsMapping[dB][dA.Opposite()] {
-		iso := grid.Isometry{R: g, T: target.Sub(g.Apply(w.nodes[pj.Node].pos))}
-		if lone || w.placementFree(ca, cb, iso) {
-			out = append(out, iso)
+// The returned slice is either shared with rotsMapping or a per-world
+// scratch buffer valid until the next call; callers must not modify it,
+// and must copy it to retain it.
+func (w *World[S]) feasibleRotations(pi, pj PortRef) []grid.Rot {
+	ni, nj := &w.nodes[pi.Node], &w.nodes[pj.Node]
+	aligning := w.rotsMapping[nj.rot.Dir(pj.Port)][ni.rot.Dir(pi.Port).Opposite()]
+	ca, cb := w.comps[ni.comp], w.comps[nj.comp]
+	if len(ca.nodes) == 1 || len(cb.nodes) == 1 {
+		return aligning
+	}
+	out := w.rotBuf[:0]
+	for _, g := range aligning {
+		if w.placementFree(ca, cb, w.placement(pi, pj, g)) {
+			out = append(out, g)
 		}
 	}
-	w.isoBuf = out[:0]
+	w.rotBuf = out[:0]
 	return out
+}
+
+// placement returns the isometry that rotates pj's component frame by g
+// and translates it so that pj's node lands on the cell pi's port faces.
+func (w *World[S]) placement(pi, pj PortRef, g grid.Rot) grid.Isometry {
+	target := w.facingCell(pi.Node, pi.Port)
+	return grid.Isometry{R: g, T: target.Sub(g.Apply(w.nodes[pj.Node].pos))}
 }
 
 // placementFree reports whether mapping component b through iso collides
@@ -170,8 +175,7 @@ func (w *World[S]) fireIntra(pp PortPair, bondedNow bool) StepInfo {
 	if w.rng.Intn(2) == 1 { // unordered pair: randomize presentation order
 		a, b = b, a
 	}
-	na, nb, bond, effective := w.interact(
-		w.nodes[a.Node].state, w.nodes[b.Node].state, a.Port, b.Port, bondedNow, true)
+	na, nb, bond, effective := w.interact(a, b, bondedNow, true)
 	if !effective {
 		return info
 	}
@@ -188,9 +192,9 @@ func (w *World[S]) fireIntra(pp PortPair, bondedNow bool) StepInfo {
 	return info
 }
 
-// fireInter executes an interaction between two components whose ports were
-// aligned through iso (mapping b's frame into a's frame).
-func (w *World[S]) fireInter(pi, pj PortRef, iso grid.Isometry) StepInfo {
+// fireInter executes an interaction between two components whose ports
+// were aligned by rotating pj's component frame by g (see placement).
+func (w *World[S]) fireInter(pi, pj PortRef, g grid.Rot) StepInfo {
 	w.steps++
 	info := StepInfo{Kind: KindInter, A: pi, B: pj}
 	if w.agents != nil && !w.agents.AllowPair(pi.Node, pj.Node) {
@@ -200,8 +204,7 @@ func (w *World[S]) fireInter(pi, pj PortRef, iso grid.Isometry) StepInfo {
 	if w.rng.Intn(2) == 1 {
 		a, b = b, a
 	}
-	na, nb, bond, effective := w.interact(
-		w.nodes[a.Node].state, w.nodes[b.Node].state, a.Port, b.Port, false, false)
+	na, nb, bond, effective := w.interact(a, b, false, false)
 	if !effective {
 		return info
 	}
@@ -210,20 +213,22 @@ func (w *World[S]) fireInter(pi, pj PortRef, iso grid.Isometry) StepInfo {
 	w.applyState(a.Node, na)
 	w.applyState(b.Node, nb)
 	if bond {
-		w.merge(pi, pj, iso)
+		w.merge(pi, pj, w.placement(pi, pj, g))
 		info.Merged = true
 	}
 	return info
 }
 
-// interact dispatches to the protocol, passing component information to
-// ComponentAware implementations. The assertion is resolved once at world
-// construction, not per interaction.
-func (w *World[S]) interact(a, b S, pa, pb grid.Dir, bonded, sameComp bool) (S, S, bool, bool) {
+// interact dispatches the pair (a, b), in that presentation order, to the
+// protocol, reading both node states in place and passing component
+// information to ComponentAware implementations. The assertion is
+// resolved once at world construction, not per interaction.
+func (w *World[S]) interact(a, b PortRef, bonded, sameComp bool) (S, S, bool, bool) {
 	if w.isCompAware {
-		return w.compAware.InteractSame(a, b, pa, pb, bonded, sameComp)
+		return w.compAware.InteractSame(w.nodes[a.Node].state, w.nodes[b.Node].state,
+			a.Port, b.Port, bonded, sameComp)
 	}
-	return w.proto.Interact(a, b, pa, pb, bonded)
+	return w.proto.Interact(w.nodes[a.Node].state, w.nodes[b.Node].state, a.Port, b.Port, bonded)
 }
 
 func (w *World[S]) applyState(id int, s S) {
@@ -417,7 +422,7 @@ func (w *World[S]) merge(pi, pj PortRef, iso grid.Isometry) {
 func (w *World[S]) stepExhaustive() (StepInfo, error) {
 	type inter struct {
 		pi, pj PortRef
-		isos   []grid.Isometry
+		rots   []grid.Rot
 	}
 	var inters []inter
 	slots := w.ComponentSlots()
@@ -426,12 +431,10 @@ func (w *World[S]) stepExhaustive() (StepInfo, error) {
 			ca, cb := w.comps[slots[x]], w.comps[slots[y]]
 			for _, pi := range ca.open.Items() {
 				for _, pj := range cb.open.Items() {
-					if isos := w.feasiblePlacements(pi, pj); len(isos) > 0 {
-						// feasiblePlacements returns scratch storage; copy
-						// before the next enumeration overwrites it.
-						kept := make([]grid.Isometry, len(isos))
-						copy(kept, isos)
-						inters = append(inters, inter{pi, pj, kept})
+					if rots := w.feasibleRotations(pi, pj); len(rots) > 0 {
+						// feasibleRotations may return scratch storage;
+						// copy before the next enumeration overwrites it.
+						inters = append(inters, inter{pi, pj, append([]grid.Rot(nil), rots...)})
 					}
 				}
 			}
@@ -459,6 +462,6 @@ func (w *World[S]) stepExhaustive() (StepInfo, error) {
 			idx = int64(w.rng.Intn(len(inters)))
 		}
 		in := inters[idx]
-		return w.fireInter(in.pi, in.pj, in.isos[w.rng.Intn(len(in.isos))]), nil
+		return w.fireInter(in.pi, in.pj, in.rots[w.rng.Intn(len(in.rots))]), nil
 	}
 }

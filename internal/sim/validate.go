@@ -8,10 +8,14 @@ import (
 
 // Validate cross-checks every incremental data structure against a from-
 // scratch recomputation. It is used by the engine's own tests after long
-// randomized runs; a non-nil error means the incremental scheduler state
-// diverged from the ground truth.
+// randomized runs, and ends every snapshot restore; a non-nil error means
+// the incremental scheduler state diverged from the ground truth. It
+// relies only on what RestoreMemento range-checks before calling it (node
+// ids, bond targets, rotations and ports in range), so it reports a
+// corrupt world instead of panicking on it.
 func (w *World[S]) Validate() error {
-	// Node <-> component consistency.
+	// Node <-> component consistency: the listed nodes are exactly the
+	// present ones, and a departed node belongs to no component.
 	liveNodes := 0
 	for slot, c := range w.comps {
 		if c == nil {
@@ -20,11 +24,17 @@ func (w *World[S]) Validate() error {
 		if c.slot != slot {
 			return fmt.Errorf("component slot mismatch: %d vs %d", c.slot, slot)
 		}
+		if len(c.nodes) == 0 {
+			return fmt.Errorf("slot %d: empty component", slot)
+		}
 		if len(c.cells) != len(c.nodes) {
 			return fmt.Errorf("slot %d: %d cells vs %d nodes", slot, len(c.cells), len(c.nodes))
 		}
 		liveNodes += len(c.nodes)
 		for _, id := range c.nodes {
+			if !w.presentNode(id) {
+				return fmt.Errorf("departed node %d listed in slot %d", id, slot)
+			}
 			if w.nodes[id].comp != slot {
 				return fmt.Errorf("node %d comp=%d but listed in slot %d", id, w.nodes[id].comp, slot)
 			}
@@ -36,6 +46,11 @@ func (w *World[S]) Validate() error {
 	if liveNodes != w.Present() {
 		return fmt.Errorf("%d nodes tracked in components, want %d present", liveNodes, w.Present())
 	}
+	for id := range w.nodes {
+		if !w.presentNode(id) && w.nodes[id].comp != -1 {
+			return fmt.Errorf("departed node %d claims component %d", id, w.nodes[id].comp)
+		}
+	}
 
 	// Bond symmetry and geometric consistency.
 	bondCount := 0
@@ -45,6 +60,9 @@ func (w *World[S]) Validate() error {
 			other := nd.bondedTo[p]
 			if other < 0 {
 				continue
+			}
+			if w.opts.Dim == 2 && !p.In2D() {
+				return fmt.Errorf("node %d bonded through 3D port %v in a 2D world", id, p)
 			}
 			bondCount++
 			od := &w.nodes[other]
@@ -108,7 +126,9 @@ func (w *World[S]) Validate() error {
 	}
 
 	// Open ports and sampler weights.
-	var wantT, wantS2 int64
+	if len(w.tickets.weight) != len(w.comps) {
+		return fmt.Errorf("%d weighted slots, want %d", len(w.tickets.weight), len(w.comps))
+	}
 	for _, c := range w.comps {
 		if c == nil {
 			continue
@@ -129,20 +149,17 @@ func (w *World[S]) Validate() error {
 				return fmt.Errorf("slot %d stale open port %+v", c.slot, ref)
 			}
 		}
-		o := int64(len(want))
-		if w.weights.Weight(c.slot) != o {
-			return fmt.Errorf("slot %d weight %d, want %d", c.slot, w.weights.Weight(c.slot), o)
+		if got := w.tickets.weight[c.slot]; int(got) != len(want) {
+			return fmt.Errorf("slot %d weight %d, want %d", c.slot, got, len(want))
 		}
-		wantT += o
-		wantS2 += o * o
 	}
 	for _, slot := range w.freeSlots {
-		if w.weights.Weight(slot) != 0 {
+		if slot < 0 || slot >= len(w.comps) || w.comps[slot] != nil {
+			return fmt.Errorf("free slot %d is out of range or live", slot)
+		}
+		if w.tickets.weight[slot] != 0 {
 			return fmt.Errorf("free slot %d has non-zero weight", slot)
 		}
 	}
-	if w.openT != wantT || w.openS2 != wantS2 {
-		return fmt.Errorf("aggregates T=%d S2=%d, want %d, %d", w.openT, w.openS2, wantT, wantS2)
-	}
-	return nil
+	return w.tickets.validate()
 }

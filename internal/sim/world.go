@@ -149,9 +149,7 @@ type World[S any] struct {
 	nodes     []nodeData[S]
 	comps     []*component
 	freeSlots []int
-	weights   *wrand.Fenwick // open-port count per component slot
-	openT     int64          // sum of open-port counts
-	openS2    int64          // sum of squared open-port counts
+	tickets   tickets // open-port count per component slot, and its sampler
 
 	bonded *wrand.Set[PortPair]
 	latent *wrand.Set[PortPair]
@@ -159,8 +157,8 @@ type World[S any] struct {
 	// rotsMapping[from][to] precomputes grid.RotsMapping over w.rots so
 	// that placement enumeration allocates nothing per step.
 	rotsMapping [grid.NumDirs][grid.NumDirs][]grid.Rot
-	// isoBuf is the reusable scratch slice of feasiblePlacements.
-	isoBuf []grid.Isometry
+	// rotBuf is the reusable scratch slice of feasibleRotations.
+	rotBuf []grid.Rot
 
 	steps, effective, merges, splits int64
 	ineffectiveRun                   int64
@@ -196,15 +194,14 @@ func newEmpty[S any](n int, proto Protocol[S], opts Options) *World[S] {
 		panic(fmt.Sprintf("sim: invalid dimension %d", opts.Dim))
 	}
 	w := &World[S]{
-		n:       n,
-		opts:    opts,
-		proto:   proto,
-		rng:     wrand.NewRNG(opts.Seed),
-		nodes:   make([]nodeData[S], n),
-		comps:   make([]*component, 0, n),
-		weights: wrand.NewFenwick(n),
-		bonded:  wrand.NewSet[PortPair](),
-		latent:  wrand.NewSet[PortPair](),
+		n:      n,
+		opts:   opts,
+		proto:  proto,
+		rng:    wrand.NewRNG(opts.Seed),
+		nodes:  make([]nodeData[S], n),
+		comps:  make([]*component, 0, n),
+		bonded: wrand.NewSet[PortPair](),
+		latent: wrand.NewSet[PortPair](),
 	}
 	w.compAware, w.isCompAware = proto.(ComponentAware[S])
 	if opts.Dim == 2 {
@@ -388,9 +385,6 @@ func (w *World[S]) newComponent() *component {
 	} else {
 		slot = len(w.comps)
 		w.comps = append(w.comps, nil)
-		if slot >= w.weights.Len() {
-			w.weights.Grow(2*slot + 1)
-		}
 	}
 	c := &component{
 		slot:  slot,
@@ -402,24 +396,13 @@ func (w *World[S]) newComponent() *component {
 }
 
 func (w *World[S]) dropComponent(c *component) {
-	w.setWeight(c.slot, 0)
+	w.tickets.set(c.slot, 0)
 	w.comps[c.slot] = nil
 	w.freeSlots = append(w.freeSlots, c.slot)
 }
 
-// setWeight maintains the Fenwick tree and the openT/openS2 aggregates.
-func (w *World[S]) setWeight(slot int, count int64) {
-	old := w.weights.Weight(slot)
-	if old == count {
-		return
-	}
-	w.openT += count - old
-	w.openS2 += count*count - old*old
-	w.weights.Set(slot, count)
-}
-
 func (w *World[S]) syncWeight(c *component) {
-	w.setWeight(c.slot, int64(c.open.Len()))
+	w.tickets.set(c.slot, int64(c.open.Len()))
 }
 
 // worldDir returns the component-frame direction of node id's local port p.
@@ -619,6 +602,7 @@ func (w *World[S]) RunContext(ctx context.Context) Result {
 		return Result{Steps: w.steps, Effective: w.effective,
 			Merges: w.merges, Splits: w.splits, Reason: reason}
 	}
+	period, mask := w.opts.CheckEvery, checkMask(w.opts.CheckEvery)
 	for w.steps < w.opts.MaxSteps {
 		info, err := w.Step()
 		if err != nil {
@@ -661,7 +645,7 @@ func (w *World[S]) RunContext(ctx context.Context) Result {
 			reason = ReasonHalted
 			break
 		}
-		if w.steps%w.opts.CheckEvery == 0 {
+		if checkDue(w.steps, period, mask) {
 			w.applyFaults()
 			if w.opts.StopWhenAllHalted && w.Present() > 0 && w.haltedCount == w.Present() {
 				// A departure can complete the all-halted condition.
@@ -690,4 +674,25 @@ func (w *World[S]) RunContext(ctx context.Context) Result {
 		Splits:    w.splits,
 		Reason:    reason,
 	}
+}
+
+// checkMask returns period-1 for a power-of-two CheckEvery period (the
+// default 256 is one), and -1 for any other period.
+func checkMask(period int64) int64 {
+	if period > 0 && period&(period-1) == 0 {
+		return period - 1
+	}
+	return -1
+}
+
+// checkDue reports whether the CheckEvery cadence fires at step: whether
+// step is a multiple of period. A power-of-two period is tested with its
+// mask, sparing the step loop a 64-bit division per step; the cadence
+// depends on the step count alone, so it keeps its meaning across a
+// fault-clock jump and after a restore.
+func checkDue(step, period, mask int64) bool {
+	if mask >= 0 {
+		return step&mask == 0
+	}
+	return step%period == 0
 }

@@ -1,10 +1,12 @@
 // Package wrand provides the sampling data structures used by the
 // uniform-random scheduler: two weighted samplers over integer slots —
-// the O(log n) Fenwick tree behind the sim engine and the scheduler
-// policies of internal/sched, and the O(1) Alias sampler with amortized
-// incremental updates behind the urn engine's pair draws (its tests use
-// Fenwick as the oracle) — and an indexable set with O(1)
-// insert/remove/uniform-sample.
+// the O(log n) Fenwick tree behind the scheduler policies of
+// internal/sched, and the O(1) Alias sampler with amortized incremental
+// updates behind the urn engine's pair draws (its tests use Fenwick as
+// the oracle) — and an indexable set with O(1)
+// insert/remove/uniform-sample. The sim engine draws its components from
+// a ticket table of its own (internal/sim): its weights change only when
+// components do, so an O(1) pick beats the descent.
 //
 // All randomness flows through a caller-supplied source (any Rand — the
 // engines use the serializable *RNG) so that entire simulations are
