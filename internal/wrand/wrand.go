@@ -43,9 +43,6 @@ func highBit(n int) int {
 	return 1 << (bits.Len(uint(n)) - 1)
 }
 
-// Len returns the number of slots.
-func (f *Fenwick) Len() int { return f.n }
-
 // Grow extends the tree to at least n slots, preserving weights.
 func (f *Fenwick) Grow(n int) {
 	if n <= f.n {

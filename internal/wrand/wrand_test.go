@@ -93,8 +93,8 @@ func TestFenwickGrow(t *testing.T) {
 	f.Set(0, 5)
 	f.Set(1, 2)
 	f.Grow(10)
-	if f.Len() != 10 || f.Total() != 7 || f.Weight(0) != 5 || f.Weight(1) != 2 {
-		t.Fatalf("grow lost state: len=%d total=%d", f.Len(), f.Total())
+	if f.Total() != 7 || f.Weight(0) != 5 || f.Weight(1) != 2 {
+		t.Fatalf("grow lost state: total=%d", f.Total())
 	}
 	f.Set(9, 4)
 	if f.Total() != 11 {
@@ -116,7 +116,8 @@ func TestFenwickGrowPreservesWeights(t *testing.T) {
 		f.Grow(len(ws)) // no-op
 		f.Grow(len(ws) + int(extra1))
 		f.Grow(len(ws)) // shrink requests are no-ops
-		f.Grow(len(ws) + int(extra1) + int(extra2))
+		n := len(ws) + int(extra1) + int(extra2)
+		f.Grow(n)
 		var want int64
 		for i, w := range ws {
 			if f.Weight(i) != int64(w) {
@@ -124,7 +125,7 @@ func TestFenwickGrowPreservesWeights(t *testing.T) {
 			}
 			want += int64(w)
 		}
-		for i := len(ws); i < f.Len(); i++ {
+		for i := len(ws); i < n; i++ {
 			if f.Weight(i) != 0 {
 				return false
 			}
@@ -142,8 +143,8 @@ func TestFenwickGrowPreservesWeights(t *testing.T) {
 // rewrite mid-stream (the urn engine's steady-state usage pattern).
 func TestFenwickSampleChiSquared(t *testing.T) {
 	r := rand.New(rand.NewSource(42))
-	sample := func(f *Fenwick, trials int) []int {
-		counts := make([]int, f.Len())
+	sample := func(f *Fenwick, n, trials int) []int {
+		counts := make([]int, n)
 		for i := 0; i < trials; i++ {
 			idx, ok := f.Sample(r)
 			if !ok {
@@ -178,7 +179,7 @@ func TestFenwickSampleChiSquared(t *testing.T) {
 	}
 	// 5 positive-weight cells -> 4 degrees of freedom; chi2 critical value
 	// at alpha = 0.001 is 18.47.
-	if stat := chi2(sample(f, trials), f, trials); stat > 18.47 {
+	if stat := chi2(sample(f, 6, trials), f, trials); stat > 18.47 {
 		t.Errorf("chi-squared = %.2f > 18.47 (df=4, alpha=0.001)", stat)
 	}
 
@@ -188,7 +189,7 @@ func TestFenwickSampleChiSquared(t *testing.T) {
 	for i, w := range []int64{1, 2, 3, 4, 0, 4, 3, 2, 1} {
 		f.Set(i, w)
 	}
-	if stat := chi2(sample(f, trials), f, trials); stat > 24.32 {
+	if stat := chi2(sample(f, 9, trials), f, trials); stat > 24.32 {
 		t.Errorf("post-grow chi-squared = %.2f > 24.32 (df=7, alpha=0.001)", stat)
 	}
 }
@@ -289,14 +290,14 @@ func TestSetChurnProperty(t *testing.T) {
 func TestFenwickCachedTotal(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 200; trial++ {
-		f := NewFenwick(r.Intn(5))
-		model := make([]int64, f.Len())
+		model := make([]int64, r.Intn(5))
+		f := NewFenwick(len(model))
 		for op := 0; op < 300; op++ {
 			switch k := r.Intn(10); {
 			case k == 0:
-				n := f.Len() + r.Intn(9)
+				n := len(model) + r.Intn(9)
 				f.Grow(n)
-				for len(model) < f.Len() {
+				for len(model) < n {
 					model = append(model, 0)
 				}
 			case len(model) == 0:
