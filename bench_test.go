@@ -6,6 +6,7 @@ package shapesol
 // secondary (the paper's unit is interactions, not wall-clock).
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -30,7 +31,8 @@ func BenchmarkE1CountingUpperBound(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var steps, r0 int64
 			for i := 0; i < b.N; i++ {
-				out := counting.RunUpperBound(n, 5, int64(i))
+				w := counting.NewUpperBoundWorld(n, 5, int64(i), 0, nil)
+				out := counting.UpperBoundOutcomeOf(5, w, w.Run())
 				steps += out.Steps
 				r0 += out.R0
 			}
@@ -45,7 +47,8 @@ func BenchmarkE2CountingTimeScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				steps += counting.RunUpperBound(n, 4, int64(i)).Steps
+				w := counting.NewUpperBoundWorld(n, 4, int64(i), 0, nil)
+				steps += counting.UpperBoundOutcomeOf(4, w, w.Run()).Steps
 			}
 			reportSteps(b, steps)
 		})
@@ -58,7 +61,8 @@ func BenchmarkE3SimpleUIDCounting(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d/b=%d", cfg.n, cfg.b), func(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				steps += counting.RunSimpleUID(cfg.n, cfg.b, int64(i), 100_000_000).Steps
+				w := counting.NewSimpleUIDWorld(cfg.n, cfg.b, int64(i), 100_000_000, nil)
+				steps += counting.SimpleUIDOutcomeOf(cfg.b, w, w.Run()).Steps
 			}
 			reportSteps(b, steps)
 		})
@@ -71,7 +75,8 @@ func BenchmarkE4UIDCounting(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				steps += counting.RunUID(n, 4, int64(i)).Steps
+				w := counting.NewUIDWorld(n, 4, int64(i), 0, nil)
+				steps += counting.UIDOutcomeOf(4, w, w.Run()).Steps
 			}
 			reportSteps(b, steps)
 		})
@@ -139,7 +144,8 @@ func BenchmarkE7CountingOnALine(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				out := core.RunCountLine(n, 3, int64(i), 200_000_000)
+				w := core.NewCountLineWorld(n, 3, int64(i), 200_000_000, nil)
+				out := core.CountLineOutcomeOf(3, w, w.Run())
 				if !out.Halted {
 					b.Fatal("counting on a line did not halt")
 				}
@@ -157,7 +163,8 @@ func BenchmarkE8SquareKnowingN(b *testing.B) {
 			var steps int64
 			halted := 0
 			for i := 0; i < b.N; i++ {
-				out := core.RunSquareKnowingN(d*d, d, int64(i), 30_000_000)
+				w := core.NewSquareKnowingNWorld(d*d, d, int64(i), 30_000_000, nil)
+				out := core.SquareKnowingNOutcomeOf(context.Background(), d, w, w.Run())
 				if out.Halted {
 					halted++
 				}
@@ -181,9 +188,13 @@ func BenchmarkE9Universal(b *testing.B) {
 				}
 				var steps int64
 				for i := 0; i < b.N; i++ {
-					out, err := core.RunUniversalOnSquare(lang, d, int64(i), 500_000_000)
-					if err != nil || !out.Match {
-						b.Fatalf("universal failed: %v %v", out, err)
+					w, err := core.NewUniversalWorld(&core.Universal{D: d, Lang: lang}, int64(i), 500_000_000, nil)
+					if err != nil {
+						b.Fatal(err)
+					}
+					out := core.UniversalOutcomeOf(context.Background(), lang, d, w, w.Run())
+					if !out.Match {
+						b.Fatalf("universal failed: %v", out)
 					}
 					steps += out.Steps
 				}
@@ -196,9 +207,14 @@ func BenchmarkE9Universal(b *testing.B) {
 func BenchmarkE9UniversalMicroStepTM(b *testing.B) {
 	var steps int64
 	for i := 0; i < b.N; i++ {
-		out, err := core.RunUniversalMicroStep(tm.BottomRowMachine(), 4, int64(i), 800_000_000)
-		if err != nil || !out.Match {
-			b.Fatalf("microstep failed: %v %v", out, err)
+		m := tm.BottomRowMachine()
+		w, err := core.NewUniversalWorld(&core.Universal{D: 4, Machine: m}, int64(i), 800_000_000, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		out := core.UniversalOutcomeOf(context.Background(), m, 4, w, w.Run())
+		if !out.Match {
+			b.Fatalf("microstep failed: %v", out)
 		}
 		steps += out.Steps
 	}
@@ -211,9 +227,13 @@ func BenchmarkE10Parallel3D(b *testing.B) {
 		b.Run(fmt.Sprintf("d=%d/k=%d", cfg.d, cfg.k), func(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				out, err := core.RunParallel3D(shapes.Star(), cfg.d, cfg.k, int64(i), 300_000_000)
-				if err != nil || !out.Decided {
-					b.Fatalf("parallel failed: %v %v", out, err)
+				w, err := core.NewParallel3DWorld(shapes.Star(), cfg.d, cfg.k, int64(i), 300_000_000, nil)
+				if err != nil {
+					b.Fatal(err)
+				}
+				out := core.Parallel3DOutcomeOf(shapes.Star(), cfg.d, cfg.k, w, w.Run())
+				if !out.Decided {
+					b.Fatalf("parallel failed: %v", out)
 				}
 				steps += out.Steps
 			}
@@ -234,10 +254,11 @@ func BenchmarkE12Replication(b *testing.B) {
 			var steps int64
 			copies := 0
 			for i := 0; i < b.N; i++ {
-				out, err := core.RunReplication(g, free, int64(i), 200_000_000)
+				w, err := core.NewReplicationWorld(g, free, int64(i), 200_000_000, nil)
 				if err != nil {
 					b.Fatal(err)
 				}
+				out := core.ReplicationOutcomeOf(context.Background(), g, w, w.Run())
 				if out.Copies == 2 {
 					copies++
 				}
@@ -260,7 +281,8 @@ func BenchmarkE14UrnVsExactUpperBound(b *testing.B) {
 	b.Run(fmt.Sprintf("exact/n=%d", n), func(b *testing.B) {
 		var steps int64
 		for i := 0; i < b.N; i++ {
-			out := counting.RunUpperBound(n, headStart, int64(i))
+			w := counting.NewUpperBoundWorld(n, headStart, int64(i), 0, nil)
+			out := counting.UpperBoundOutcomeOf(headStart, w, w.Run())
 			if !out.Success {
 				b.Fatalf("exact run failed: %+v", out)
 			}
@@ -271,7 +293,8 @@ func BenchmarkE14UrnVsExactUpperBound(b *testing.B) {
 	b.Run(fmt.Sprintf("urn/n=%d", n), func(b *testing.B) {
 		var steps int64
 		for i := 0; i < b.N; i++ {
-			out := counting.RunUpperBoundUrn(n, headStart, int64(i))
+			w := counting.NewUpperBoundUrnWorld(n, headStart, int64(i), 0, nil)
+			out := counting.UpperBoundUrnOutcomeOf(headStart, w, w.Run())
 			if !out.Success {
 				b.Fatalf("urn run failed: %+v", out)
 			}
@@ -283,7 +306,8 @@ func BenchmarkE14UrnVsExactUpperBound(b *testing.B) {
 		b.Run(fmt.Sprintf("urn/n=%d", big), func(b *testing.B) {
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				out := counting.RunUpperBoundUrn(big, headStart, int64(i))
+				w := counting.NewUpperBoundUrnWorld(big, headStart, int64(i), 0, nil)
+				out := counting.UpperBoundUrnOutcomeOf(headStart, w, w.Run())
 				if !out.Success {
 					b.Fatalf("urn run failed: %+v", out)
 				}
@@ -312,7 +336,8 @@ func BenchmarkE15UrnScaling(b *testing.B) {
 			b.ReportAllocs()
 			var steps int64
 			for i := 0; i < b.N; i++ {
-				out := counting.RunUpperBoundUrn(n, headStart, int64(i))
+				w := counting.NewUpperBoundUrnWorld(n, headStart, int64(i), 0, nil)
+				out := counting.UpperBoundUrnOutcomeOf(headStart, w, w.Run())
 				if !out.Success {
 					b.Fatalf("urn run failed: %+v", out)
 				}
@@ -354,7 +379,8 @@ func BenchmarkE13LeaderlessEvidence(b *testing.B) {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			early := 0
 			for i := 0; i < b.N; i++ {
-				if counting.RunLeaderless(proto, n, int64(i), int64(50*n)).EarlyTermination {
+				w := counting.NewLeaderlessWorld(proto, n, int64(i), int64(50*n), nil)
+				if counting.LeaderlessOutcomeOf(w, w.Run()).EarlyTermination {
 					early++
 				}
 			}

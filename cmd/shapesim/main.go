@@ -1,13 +1,12 @@
 // Command shapesim runs a single protocol of the paper at a chosen
 // population size and renders the outcome. It is a thin front end over
-// the unified job API: -protocol names a registry spec (or one of the
-// legacy aliases line/square/square2/count), -engine and -budget override
-// the spec's defaults, and -json dumps the full Result envelope.
+// the unified job API: -protocol names a registry spec, -engine and
+// -budget override the spec's defaults, and -json dumps the full Result
+// envelope. A bare shapesim runs the stabilizing line table on 16 nodes.
 //
 // Usage:
 //
-//	shapesim -protocol stabilize -table line -n 16 [-seed 1]
-//	shapesim -protocol line|square|square2 -n 16        # alias for the above
+//	shapesim -protocol stabilize -table line|square|square2 -n 16 [-seed 1]
 //	shapesim -protocol counting-upper-bound -n 100 [-b 5] [-engine urn]
 //	shapesim -protocol count-line -n 100 [-b 3]
 //	shapesim -protocol square-knowing-n -d 4
@@ -15,7 +14,7 @@
 //	shapesim -protocol parallel-3d -lang star -d 3 [-k 3]
 //	shapesim -protocol replication -shape "0,0;1,0;2,0;0,1" [-free 8]
 //	shapesim -protocol <any> ... -json                  # raw Result envelope
-//	shapesim -protocol count -engine urn -n 10000000 -cpuprofile cpu.out
+//	shapesim -protocol counting-upper-bound -engine urn -n 10000000 -cpuprofile cpu.out
 //	                                                    # pprof the hot loop
 package main
 
@@ -37,19 +36,6 @@ import (
 	"shapesol/internal/profiling"
 )
 
-// aliases maps the historical -protocol names onto registry jobs,
-// preserving the historical defaults where they differ from the spec's
-// (countline used to inherit the shared -b default of 5; the count-line
-// spec defaults to the paper's b=3). An explicitly set flag still wins.
-var aliases = map[string]func(j *job.Job){
-	"line":      func(j *job.Job) { j.Protocol = "stabilize"; j.Params.Table = "line" },
-	"square":    func(j *job.Job) { j.Protocol = "stabilize"; j.Params.Table = "square" },
-	"square2":   func(j *job.Job) { j.Protocol = "stabilize"; j.Params.Table = "square2" },
-	"count":     func(j *job.Job) { j.Protocol = "counting-upper-bound" },
-	"countline": func(j *job.Job) { j.Protocol = "count-line"; j.Params.B = 5 },
-	"squaren":   func(j *job.Job) { j.Protocol = "square-knowing-n" },
-}
-
 func main() {
 	os.Exit(run())
 }
@@ -67,9 +53,8 @@ func engineList() string {
 
 func run() int {
 	var (
-		protocol = flag.String("protocol", "line",
-			fmt.Sprintf("protocol spec (one of %s) or a legacy alias (line, square, square2, count, countline, squaren)",
-				strings.Join(job.Names(), ", ")))
+		protocol = flag.String("protocol", "stabilize",
+			fmt.Sprintf("protocol spec (one of %s)", strings.Join(job.Names(), ", ")))
 		engine     = flag.String("engine", "", "engine override: "+engineList()+" (default: the spec's)")
 		budget     = flag.Int64("budget", 0, "step budget override (default: the spec's)")
 		n          = flag.Int("n", 16, "population size")
@@ -77,7 +62,7 @@ func run() int {
 		d          = flag.Int("d", 4, "side length for square-knowing-n/universal/parallel-3d")
 		k          = flag.Int("k", 0, "memory column height for parallel-3d (default: the spec's)")
 		lang       = flag.String("lang", "", "shape language for universal/parallel-3d (default: the spec's)")
-		table      = flag.String("table", "", "rule table for stabilize: line, square or square2")
+		table      = flag.String("table", "line", "rule table for stabilize: line, square or square2")
 		shape      = flag.String("shape", "", `replication target as "x,y;x,y;..." cells`)
 		free       = flag.Int("free", 0, "free nodes for replication (default: the paper's 2|R_G|-|G|)")
 		seed       = flag.Int64("seed", 1, "scheduler seed")
@@ -122,9 +107,6 @@ func run() int {
 		Engine:   job.Engine(*engine),
 		MaxSteps: *budget,
 	}
-	if alias, ok := aliases[*protocol]; ok {
-		alias(&j)
-	}
 	spec, ok := job.Get(j.Protocol)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "shapesim: unknown protocol %q (have %s)\n",
@@ -158,12 +140,7 @@ func run() int {
 	if forward("lang") {
 		j.Params.Lang = *lang
 	}
-	if setFlags["table"] && j.Params.Table != "" && j.Params.Table != *table {
-		fmt.Fprintf(os.Stderr, "shapesim: -table %s conflicts with the %q alias (table %s)\n",
-			*table, *protocol, j.Params.Table)
-		return 2
-	}
-	if forward("table") && j.Params.Table == "" {
+	if forward("table") {
 		j.Params.Table = *table
 	}
 	if forward("free") {

@@ -106,6 +106,7 @@ func (e *Explorer[S]) Verdict(correct func(states []S, counts []int64) bool) Ver
 	// deterministic, so the mid-exploration memento stays small and the
 	// graph is rebuilt here only when a full verdict is actually wanted.
 	succs := make([][]succRef, len(e.nodes))
+	closed := true
 	for idx := range e.nodes {
 		nd := &e.nodes[idx]
 		if nd.halted {
@@ -113,14 +114,18 @@ func (e *Explorer[S]) Verdict(correct func(states []S, counts []int64) bool) Ver
 		}
 		e.transitions(nd.slots, func(via edge, succ []slot) bool {
 			to, ok := e.visited[key(succ)]
-			if !ok {
-				// Unreachable on a complete exploration: every successor of
-				// an expanded node was discovered.
-				panic("check: complete exploration is missing a successor")
-			}
 			succs[idx] = append(succs[idx], succRef{to: to, via: via})
-			return true
+			closed = ok
+			return ok
 		})
+		if !closed {
+			// Every successor of an expanded node was discovered when it
+			// was expanded, so only a restored memento that moved its head
+			// past unexpanded nodes gets here: the graph is not the
+			// reachable space, and the verdict makes no claim.
+			v.Complete = false
+			return v
+		}
 	}
 
 	// Correctness of halting configurations.

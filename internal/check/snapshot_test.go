@@ -15,7 +15,7 @@ import (
 // midrunExplorer freezes an n=64 haltProto exploration mid-run: with 64
 // reachable configurations and a CheckEvery of 16, the cancel lands
 // strictly between the root and the final frontier.
-func midrunExplorer(t *testing.T, cancelAt int64) (*check.Explorer[string], check.Result) {
+func midrunExplorer(t testing.TB, cancelAt int64) (*check.Explorer[string], check.Result) {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -146,4 +146,53 @@ func TestRestoreMementoRejectsCraftedColumns(t *testing.T) {
 	if err := check.New(64, haltProto{}, check.Options{}).RestoreMemento(a.Memento()); err != nil {
 		t.Fatalf("intact memento rejected: %v", err)
 	}
+}
+
+// TestVerdictMakesNoClaimOnForgedFrontier restores a fresh explorer's
+// memento with its head moved past the root: the root counts as expanded,
+// but none of its successors was discovered, so the exploration reads as
+// complete while its graph is not closed. Verdict panicked on the missing
+// successor; it must make no claim instead.
+func TestVerdictMakesNoClaimOnForgedFrontier(t *testing.T) {
+	m := check.New(64, haltProto{}, check.Options{}).Memento()
+	m.Head = int32(len(m.NodeLen))
+	e := check.New(64, haltProto{}, check.Options{})
+	if err := e.RestoreMemento(m); err != nil {
+		t.Fatal(err)
+	}
+	if res := e.Run(); res.Reason != check.ReasonExplored {
+		t.Fatalf("reason = %v, want explored (nothing left past the head)", res.Reason)
+	}
+	if v := e.Verdict(nil); v.Complete || v.Halts {
+		t.Fatalf("verdict %+v claims a result for an unclosed graph", v)
+	}
+}
+
+// FuzzCheckRestore feeds hostile exploration state to RestoreMemento, as
+// the daemon does when it resumes an uploaded snapshot: the gob payload of
+// a captured memento (one of a fresh explorer, one frozen mid-search),
+// mutated. RestoreMemento must either return an error or leave an
+// explorer that runs to the end of a MaxStates budget and returns a
+// Verdict without panicking.
+func FuzzCheckRestore(f *testing.F) {
+	mid, _ := midrunExplorer(f, 16)
+	for _, e := range []*check.Explorer[string]{check.New(64, haltProto{}, check.Options{}), mid} {
+		data, err := snap.EncodeState(e.Memento())
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m check.Memento[string]
+		if snap.DecodeState(data, &m) != nil {
+			return
+		}
+		e := check.New(64, haltProto{}, check.Options{CheckEvery: 16, MaxStates: 4096})
+		if e.RestoreMemento(m) != nil {
+			return
+		}
+		e.Run()
+		e.Verdict(nil)
+	})
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/bits"
 
 	"shapesol/internal/grid"
@@ -396,21 +395,6 @@ func b2i(b bool) int64 {
 		return 1
 	}
 	return 0
-}
-
-// RunCountLine executes Counting-on-a-Line on n nodes until the leader
-// halts (or the step budget runs out).
-func RunCountLine(n, b int, seed, maxSteps int64) CountLineOutcome {
-	out, _ := RunCountLineCtx(context.Background(), n, b, seed, maxSteps, nil)
-	return out
-}
-
-// RunCountLineCtx is RunCountLine under a cancelable context with an
-// optional progress callback.
-func RunCountLineCtx(ctx context.Context, n, b int, seed, maxSteps int64, progress func(int64)) (CountLineOutcome, sim.StopReason) {
-	w := NewCountLineWorld(n, b, seed, maxSteps, progress)
-	res := w.RunContext(ctx)
-	return CountLineOutcomeOf(b, w, res), res.Reason
 }
 
 // NewCountLineWorld builds the Lemma 1 world, ready to Run or to restore

@@ -10,7 +10,8 @@ func TestCountLineTerminatesAndCounts(t *testing.T) {
 	for _, tc := range []struct{ n, b int }{
 		{8, 2}, {20, 3}, {40, 4},
 	} {
-		out := RunCountLine(tc.n, tc.b, int64(tc.n*7+tc.b), 20_000_000)
+		w := NewCountLineWorld(tc.n, tc.b, int64(tc.n*7+tc.b), 20_000_000, nil)
+		out := CountLineOutcomeOf(tc.b, w, w.Run())
 		if !out.Halted {
 			t.Fatalf("n=%d b=%d: did not halt in %d steps", tc.n, tc.b, out.Steps)
 		}
@@ -34,7 +35,8 @@ func TestCountLineSucceedsWHP(t *testing.T) {
 	const n, b, trials = 30, 4, 15
 	successes := 0
 	for i := 0; i < trials; i++ {
-		out := RunCountLine(n, b, int64(1000+i), 40_000_000)
+		w := NewCountLineWorld(n, b, int64(1000+i), 40_000_000, nil)
+		out := CountLineOutcomeOf(b, w, w.Run())
 		if !out.Halted {
 			t.Fatalf("trial %d did not halt", i)
 		}

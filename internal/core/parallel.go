@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"shapesol/internal/grid"
 	"shapesol/internal/shapes"
 	"shapesol/internal/sim"
@@ -153,24 +151,6 @@ type Parallel3DOutcome struct {
 	Steps   int64 `json:"steps"` // scheduler steps until every pixel was decided
 	Decided bool  `json:"decided"`
 	Correct bool  `json:"correct"` // every pixel matches the language
-}
-
-// RunParallel3D executes the parallel constructor until every pixel is
-// decided (or the budget runs out).
-func RunParallel3D(lang shapes.Language, d, k int, seed, maxSteps int64) (Parallel3DOutcome, error) {
-	out, _, err := RunParallel3DCtx(context.Background(), lang, d, k, seed, maxSteps, nil)
-	return out, err
-}
-
-// RunParallel3DCtx is RunParallel3D under a cancelable context with an
-// optional progress callback.
-func RunParallel3DCtx(ctx context.Context, lang shapes.Language, d, k int, seed, maxSteps int64, progress func(int64)) (Parallel3DOutcome, sim.StopReason, error) {
-	w, err := NewParallel3DWorld(lang, d, k, seed, maxSteps, progress)
-	if err != nil {
-		return Parallel3DOutcome{}, 0, err
-	}
-	res := w.RunContext(ctx)
-	return Parallel3DOutcomeOf(lang, d, k, w, res), res.Reason, nil
 }
 
 // NewParallel3DWorld builds the Theorem 5 world with its all-pixels-

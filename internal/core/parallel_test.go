@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"shapesol/internal/shapes"
@@ -11,10 +12,11 @@ func TestParallel3DDecidesAllPixels(t *testing.T) {
 	for _, tc := range []struct{ d, k int }{
 		{2, 2}, {3, 3}, {3, 1},
 	} {
-		out, err := RunParallel3D(shapes.Star(), tc.d, tc.k, int64(tc.d*10+tc.k), 50_000_000)
+		w, err := NewParallel3DWorld(shapes.Star(), tc.d, tc.k, int64(tc.d*10+tc.k), 50_000_000, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
+		out := Parallel3DOutcomeOf(shapes.Star(), tc.d, tc.k, w, w.Run())
 		if !out.Decided {
 			t.Fatalf("d=%d k=%d: not all pixels decided in %d steps", tc.d, tc.k, out.Steps)
 		}
@@ -31,13 +33,22 @@ func TestParallel3DVersusSequentialTMSimulation(t *testing.T) {
 	// at the same dimension (Oracle-mode sequential would be an unfair
 	// baseline: it collapses exactly the cost Theorem 5 parallelizes).
 	const d, k = 5, 3
-	par, err := RunParallel3D(shapes.BottomRow(), d, k, 11, 100_000_000)
-	if err != nil || !par.Decided {
-		t.Fatalf("parallel failed: %+v err=%v", par, err)
+	pw, err := NewParallel3DWorld(shapes.BottomRow(), d, k, 11, 100_000_000, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	seq, err := RunUniversalMicroStep(tm.BottomRowMachine(), d, 11, 600_000_000)
-	if err != nil || !seq.Halted {
-		t.Fatalf("sequential microstep failed: %+v err=%v", seq, err)
+	par := Parallel3DOutcomeOf(shapes.BottomRow(), d, k, pw, pw.Run())
+	if !par.Decided {
+		t.Fatalf("parallel failed: %+v", par)
+	}
+	m := tm.BottomRowMachine()
+	sw, err := NewUniversalWorld(&Universal{D: d, Machine: m}, 11, 600_000_000, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := UniversalOutcomeOf(context.Background(), m, d, sw, sw.Run())
+	if !seq.Halted {
+		t.Fatalf("sequential microstep failed: %+v", seq)
 	}
 	t.Logf("parallel steps=%d sequential-microstep steps=%d", par.Steps, seq.Steps)
 	// Finding (recorded in EXPERIMENTS.md): at laptop-scale d the

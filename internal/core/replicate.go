@@ -500,28 +500,10 @@ type ReplicationOutcome struct {
 	RGSize int   `json:"rg_size"`
 }
 
-// RunReplication replicates the shape g on a population of g.Size()+free
-// nodes. The paper's requirement is free >= 2|R_G| - |G|.
-func RunReplication(g *grid.Shape, free int, seed, maxSteps int64) (ReplicationOutcome, error) {
-	out, _, err := RunReplicationCtx(context.Background(), g, free, seed, maxSteps, nil)
-	return out, err
-}
-
-// RunReplicationCtx is RunReplication under a cancelable context with an
-// optional progress callback. A canceled run skips the settling phase and
-// reports Done=false.
-func RunReplicationCtx(ctx context.Context, g *grid.Shape, free int, seed, maxSteps int64, progress func(int64)) (ReplicationOutcome, sim.StopReason, error) {
-	w, err := NewReplicationWorld(g, free, seed, maxSteps, progress)
-	if err != nil {
-		return ReplicationOutcome{}, 0, err
-	}
-	res := w.RunContext(ctx)
-	return ReplicationOutcomeOf(ctx, g, w, res), res.Reason, nil
-}
-
 // NewReplicationWorld builds the Section 7 replication world (the seed
-// shape plus free nodes) with its two-leaders-done predicate installed,
-// ready to Run or to restore a snapshot into.
+// shape g plus free nodes, g.Size()+free in all) with its two-leaders-done
+// predicate installed, ready to Run or to restore a snapshot into. The
+// paper's requirement is free >= 2|R_G| - |G|.
 func NewReplicationWorld(g *grid.Shape, free int, seed, maxSteps int64, progress func(int64)) (*sim.World[rpState], error) {
 	w, err := sim.NewFromConfig(ShapeConfig(g, free), Replicator{}, sim.Options{
 		Seed: seed, MaxSteps: maxSteps, CheckEvery: 64, Progress: progress,
@@ -539,7 +521,9 @@ func NewReplicationWorld(g *grid.Shape, free int, seed, maxSteps int64, progress
 
 // ReplicationOutcomeOf reads the measured outcome off a finished world,
 // running the settling phase first (cleanup waves and dummy shedding; the
-// context is observed so a late cancel is not absorbed here).
+// context is observed so a late cancel is not absorbed here). A run
+// stopped before both leaders finished, canceled or out of budget, skips
+// the settling and reports Done=false.
 func ReplicationOutcomeOf(ctx context.Context, g *grid.Shape, w *sim.World[rpState], res sim.Result) ReplicationOutcome {
 	out := ReplicationOutcome{Steps: res.Steps, RGSize: g.EnclosingRect().Size()}
 	if res.Reason != sim.ReasonPredicate {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"shapesol/internal/grid"
@@ -14,10 +15,11 @@ func lShape() *grid.Shape {
 
 func TestReplicationLShape(t *testing.T) {
 	g := lShape()
-	out, err := RunReplication(g, 8, 3, 150_000_000)
+	w, err := NewReplicationWorld(g, 8, 3, 150_000_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := ReplicationOutcomeOf(context.Background(), g, w, w.Run())
 	if !out.Done {
 		t.Fatalf("leaders did not finish: %+v", out)
 	}
@@ -29,10 +31,11 @@ func TestReplicationLShape(t *testing.T) {
 func TestReplicationLine(t *testing.T) {
 	// A 1x3 line: R_G == G, so squaring is a no-op and waste is minimal.
 	g := grid.ShapeOf(grid.Pos{}, grid.Pos{X: 1}, grid.Pos{X: 2})
-	out, err := RunReplication(g, 3, 8, 150_000_000)
+	w, err := NewReplicationWorld(g, 3, 8, 150_000_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := ReplicationOutcomeOf(context.Background(), g, w, w.Run())
 	if !out.Done || out.Copies != 2 {
 		t.Fatalf("%+v", out)
 	}
@@ -41,10 +44,11 @@ func TestReplicationLine(t *testing.T) {
 func TestReplicationWithSlack(t *testing.T) {
 	// Extra free nodes must not corrupt the copies.
 	g := lShape()
-	out, err := RunReplication(g, 12, 21, 150_000_000)
+	w, err := NewReplicationWorld(g, 12, 21, 150_000_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := ReplicationOutcomeOf(context.Background(), g, w, w.Run())
 	if !out.Done || out.Copies != 2 {
 		t.Fatalf("%+v", out)
 	}
@@ -52,10 +56,11 @@ func TestReplicationWithSlack(t *testing.T) {
 
 func TestReplicationSingleCell(t *testing.T) {
 	g := grid.ShapeOf(grid.Pos{})
-	out, err := RunReplication(g, 2, 5, 50_000_000)
+	w, err := NewReplicationWorld(g, 2, 5, 50_000_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := ReplicationOutcomeOf(context.Background(), g, w, w.Run())
 	if !out.Done || out.Copies != 2 {
 		t.Fatalf("%+v", out)
 	}

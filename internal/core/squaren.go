@@ -424,24 +424,6 @@ type SquareKnowingNOutcome struct {
 	Spanned int   `json:"spanned"` // size of the leader's component at halting
 }
 
-// RunSquareKnowingN executes the protocol and checks the result. After the
-// leader halts the run continues briefly so that in-flight conversion and
-// shed rules settle (the paper's construction also stabilizes its final
-// bonds after the leader's decision).
-func RunSquareKnowingN(n, d int, seed, maxSteps int64) SquareKnowingNOutcome {
-	out, _ := RunSquareKnowingNCtx(context.Background(), n, d, seed, maxSteps, nil)
-	return out
-}
-
-// RunSquareKnowingNCtx is RunSquareKnowingN under a cancelable context
-// with an optional progress callback. A canceled run skips the settling
-// phase and reports Halted=false.
-func RunSquareKnowingNCtx(ctx context.Context, n, d int, seed, maxSteps int64, progress func(int64)) (SquareKnowingNOutcome, sim.StopReason) {
-	w := NewSquareKnowingNWorld(n, d, seed, maxSteps, progress)
-	res := w.RunContext(ctx)
-	return SquareKnowingNOutcomeOf(ctx, d, w, res), res.Reason
-}
-
 // NewSquareKnowingNWorld builds the Lemma 2 world, ready to Run or to
 // restore a snapshot into.
 func NewSquareKnowingNWorld(n, d int, seed, maxSteps int64, progress func(int64)) *sim.World[skState] {
@@ -452,8 +434,11 @@ func NewSquareKnowingNWorld(n, d int, seed, maxSteps int64, progress func(int64)
 
 // SquareKnowingNOutcomeOf reads the measured outcome off a finished
 // world, running the brief post-halt settling phase first (in-flight
-// conversion and shed rules; the context is observed so a late cancel is
-// not absorbed here).
+// conversion and shed rules; the paper's construction also stabilizes its
+// final bonds after the leader's decision). The context is observed so a
+// late cancel is not absorbed here; a run stopped before the leader
+// halted, canceled or out of budget, skips the settling and reports
+// Halted=false.
 func SquareKnowingNOutcomeOf(ctx context.Context, d int, w *sim.World[skState], res sim.Result) SquareKnowingNOutcome {
 	n := w.N()
 	out := SquareKnowingNOutcome{N: n, D: d, Steps: res.Steps}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"shapesol/internal/sim"
@@ -10,7 +11,8 @@ func TestSquareKnowingNBuildsExactSquares(t *testing.T) {
 	for _, tc := range []struct{ n, d int }{
 		{1, 1}, {4, 2}, {9, 3}, {16, 4},
 	} {
-		out := RunSquareKnowingN(tc.n, tc.d, int64(17*tc.n+tc.d), 80_000_000)
+		w := NewSquareKnowingNWorld(tc.n, tc.d, int64(17*tc.n+tc.d), 80_000_000, nil)
+		out := SquareKnowingNOutcomeOf(context.Background(), tc.d, w, w.Run())
 		if !out.Halted {
 			t.Fatalf("n=%d d=%d: leader did not halt in %d steps", tc.n, tc.d, out.Steps)
 		}
@@ -23,7 +25,8 @@ func TestSquareKnowingNBuildsExactSquares(t *testing.T) {
 
 func TestSquareKnowingNWithSlack(t *testing.T) {
 	// Extra free nodes beyond d^2 must be left over, not absorbed.
-	out := RunSquareKnowingN(14, 3, 5, 80_000_000)
+	w := NewSquareKnowingNWorld(14, 3, 5, 80_000_000, nil)
+	out := SquareKnowingNOutcomeOf(context.Background(), 3, w, w.Run())
 	if !out.Halted || !out.Square {
 		t.Fatalf("halted=%v square=%v spanned=%d", out.Halted, out.Square, out.Spanned)
 	}
@@ -33,7 +36,8 @@ func TestSquareKnowingNExactBudgetSeeds(t *testing.T) {
 	// n = d^2 exactly is the paper's tight case: hostages under the seed
 	// or replicas must be released and reused. Run a few seeds.
 	for seed := int64(0); seed < 5; seed++ {
-		out := RunSquareKnowingN(9, 3, seed, 120_000_000)
+		w := NewSquareKnowingNWorld(9, 3, seed, 120_000_000, nil)
+		out := SquareKnowingNOutcomeOf(context.Background(), 3, w, w.Run())
 		if !out.Halted || !out.Square {
 			t.Fatalf("seed %d: halted=%v square=%v spanned=%d steps=%d",
 				seed, out.Halted, out.Square, out.Spanned, out.Steps)

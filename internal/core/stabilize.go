@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"shapesol/internal/grid"
@@ -38,23 +37,10 @@ type StabilizeOutcome struct {
 	Shape *grid.Shape `json:"-"`
 }
 
-// RunStabilizeCtx drives the named rule table on n free nodes until the
-// structure spans the population or the budget runs out (unlike the other
-// constructors there is no context-free wrapper: every consumer goes
-// through the job layer, which always carries a context). The spanning
-// condition is a SetHaltWhen predicate over sim.World.Run, so the stop
-// reason is sim.ReasonPredicate on success.
-func RunStabilizeCtx(ctx context.Context, table string, n int, seed, maxSteps int64, progress func(int64)) (StabilizeOutcome, sim.StopReason, error) {
-	w, err := NewStabilizeWorld(table, n, seed, maxSteps, progress)
-	if err != nil {
-		return StabilizeOutcome{}, 0, err
-	}
-	res := w.RunContext(ctx)
-	return StabilizeOutcomeOf(table, w, res), res.Reason, nil
-}
-
-// NewStabilizeWorld builds a Section 4 rule-table world with its spanning
-// predicate installed, ready to Run or to restore a snapshot into.
+// NewStabilizeWorld builds a Section 4 rule-table world on n free nodes
+// with its spanning predicate installed, ready to Run or to restore a
+// snapshot into. The spanning condition is a SetHaltWhen predicate, so
+// the stop reason is sim.ReasonPredicate on success.
 func NewStabilizeWorld(table string, n int, seed, maxSteps int64, progress func(int64)) (*sim.World[rules.State], error) {
 	t, err := StabilizeTable(table)
 	if err != nil {

@@ -362,66 +362,24 @@ func (o UniversalOutcome) String() string {
 		o.D, o.Halted, o.Match, o.Waste, o.Steps)
 }
 
-// RunUniversalOnSquare executes the marking and release phases on a
-// pre-built square (oracle decisions) and compares the surviving shape
-// against the language's G_d.
-func RunUniversalOnSquare(lang shapes.Language, d int, seed, maxSteps int64) (UniversalOutcome, error) {
-	out, _, err := RunUniversalOnSquareCtx(context.Background(), lang, d, seed, maxSteps, nil)
-	return out, err
-}
-
-// RunUniversalOnSquareCtx is RunUniversalOnSquare under a cancelable
-// context with an optional progress callback. A canceled run skips the
-// settling phase and reports Halted=false.
-func RunUniversalOnSquareCtx(ctx context.Context, lang shapes.Language, d int, seed, maxSteps int64, progress func(int64)) (UniversalOutcome, sim.StopReason, error) {
-	proto := &Universal{D: d, Lang: lang}
-	return runUniversal(ctx, proto, lang, d, seed, maxSteps, progress)
-}
-
-// RunUniversalMicroStep is the fully faithful variant: pixel decisions are
-// computed by a genuine TM walking the embedded tape. The d^2-cell square
-// is the machine's tape, so the binary input (i, d) must fit on it — true
-// for every d >= 4 with the compare encoding (the paper's construction
-// likewise assumes the square dominates the O(log n) input
-// asymptotically).
-func RunUniversalMicroStep(machine *tm.PixelMachine, d int, seed, maxSteps int64) (UniversalOutcome, error) {
-	if worst := len(machine.Encode(d*d-1, d)); worst > d*d {
-		return UniversalOutcome{}, fmt.Errorf(
-			"core: input (%d symbols) exceeds the %dx%d tape; use d >= 4", worst, d, d)
-	}
-	proto := &Universal{D: d, Machine: machine}
-	out, _, err := runUniversal(context.Background(), proto, machine, d, seed, maxSteps, nil)
-	return out, err
-}
-
-func runUniversal(ctx context.Context, proto *Universal, lang shapes.Language, d int, seed, maxSteps int64, progress func(int64)) (UniversalOutcome, sim.StopReason, error) {
-	if d == 1 {
-		// A 1x1 square has no bonded pair to act on; the result is trivial.
-		return UniversalOutcome{D: 1, Halted: true, Match: lang.Pixel(0, 1)}, sim.ReasonHalted, nil
-	}
-	w, err := NewUniversalWorldFor(proto, seed, maxSteps, progress)
-	if err != nil {
-		return UniversalOutcome{}, 0, err
-	}
-	res := w.RunContext(ctx)
-	return UniversalOutcomeOf(ctx, lang, d, w, res), res.Reason, nil
-}
-
-// NewUniversalWorld builds the Theorem 4 world (pre-built d x d square,
-// oracle pixel decisions from lang), ready to Run or to restore a
-// snapshot into. d must be at least 2 — the d == 1 square is trivial and
-// has no interaction to schedule (RunUniversalOnSquareCtx short-circuits
-// it).
-func NewUniversalWorld(lang shapes.Language, d int, seed, maxSteps int64, progress func(int64)) (*sim.World[uniCell], error) {
+// NewUniversalWorld builds the Theorem 4 world for proto (the pre-built
+// proto.D x proto.D square, leader at pixel 0), ready to Run or to restore
+// a snapshot into. D must be at least 2: the 1x1 square has no bonded pair,
+// so there is no interaction to schedule, and its outcome is the language's
+// one pixel. In MicroStep mode the d^2-cell square is the machine's tape, so
+// the binary input (i, d) must fit on it — true for every d >= 4 with the
+// compare encoding (the paper's construction likewise assumes the square
+// dominates the O(log n) input asymptotically).
+func NewUniversalWorld(proto *Universal, seed, maxSteps int64, progress func(int64)) (*sim.World[uniCell], error) {
+	d := proto.D
 	if d < 2 {
 		return nil, fmt.Errorf("core: universal world needs d >= 2, got %d", d)
 	}
-	return NewUniversalWorldFor(&Universal{D: d, Lang: lang}, seed, maxSteps, progress)
-}
-
-// NewUniversalWorldFor is NewUniversalWorld for a caller-built protocol
-// value (the microstep TM variant sets Machine instead of Lang).
-func NewUniversalWorldFor(proto *Universal, seed, maxSteps int64, progress func(int64)) (*sim.World[uniCell], error) {
+	if proto.Machine != nil {
+		if worst := len(proto.Machine.Encode(d*d-1, d)); worst > d*d {
+			return nil, fmt.Errorf("core: input (%d symbols) exceeds the %dx%d tape; use d >= 4", worst, d, d)
+		}
+	}
 	return sim.NewFromConfig(proto.SquareConfig(0), proto, sim.Options{
 		Seed: seed, MaxSteps: maxSteps, StopWhenAnyHalted: true, Progress: progress,
 	})
@@ -430,7 +388,9 @@ func NewUniversalWorldFor(proto *Universal, seed, maxSteps int64, progress func(
 // UniversalOutcomeOf reads the measured outcome off a finished world,
 // first letting the released off pixels finish detaching (bounded budget;
 // the context is observed so a late cancel is not absorbed by the
-// settling).
+// settling). lang is the language the world decides pixels by (in
+// MicroStep mode, its Machine). A run stopped before the leader halted,
+// canceled or out of budget, skips the settling and reports Halted=false.
 func UniversalOutcomeOf(ctx context.Context, lang shapes.Language, d int, w *sim.World[uniCell], res sim.Result) UniversalOutcome {
 	want := shapes.Render(lang, d).Shape()
 	out := UniversalOutcome{D: d, Steps: res.Steps}
@@ -478,12 +438,4 @@ func onShape(w *sim.World[uniCell]) *grid.Shape {
 		}
 	}
 	return best
-}
-
-// newUniversalWorld is a small helper for tests and tools that need the
-// live world rather than just the outcome.
-func newUniversalWorld(proto *Universal, seed int64) (*sim.World[uniCell], error) {
-	return sim.NewFromConfig(proto.SquareConfig(0), proto, sim.Options{
-		Seed: seed, MaxSteps: 50_000_000, StopWhenAnyHalted: true,
-	})
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"shapesol/internal/shapes"
@@ -9,11 +10,12 @@ import (
 
 func TestUniversalOracleAllLanguages(t *testing.T) {
 	for _, lang := range shapes.All() {
-		for _, d := range []int{1, 2, 4, 5} {
-			out, err := RunUniversalOnSquare(lang, d, int64(d)*31, 50_000_000)
+		for _, d := range []int{2, 4, 5} {
+			w, err := NewUniversalWorld(&Universal{D: d, Lang: lang}, int64(d)*31, 50_000_000, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
+			out := UniversalOutcomeOf(context.Background(), lang, d, w, w.Run())
 			if !out.Halted {
 				t.Fatalf("%s d=%d: token did not halt (%v)", lang.Name(), d, out)
 			}
@@ -26,15 +28,21 @@ func TestUniversalOracleAllLanguages(t *testing.T) {
 			}
 		}
 	}
+	// The 1x1 square has no pair to schedule; the universal spec answers
+	// d=1 without a world.
+	if _, err := NewUniversalWorld(&Universal{D: 1, Lang: shapes.Star()}, 1, 1000, nil); err == nil {
+		t.Fatal("d=1 should be rejected: no interaction to schedule")
+	}
 }
 
 func TestUniversalWorstCaseWaste(t *testing.T) {
 	// Theorem 4: a line of length d wastes (d-1)d.
 	const d = 6
-	out, err := RunUniversalOnSquare(shapes.BottomRow(), d, 9, 50_000_000)
+	w, err := NewUniversalWorld(&Universal{D: d, Lang: shapes.BottomRow()}, 9, 50_000_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := UniversalOutcomeOf(context.Background(), shapes.BottomRow(), d, w, w.Run())
 	if !out.Match || out.Waste != (d-1)*d {
 		t.Fatalf("outcome %v, want waste %d", out, (d-1)*d)
 	}
@@ -44,14 +52,16 @@ func TestUniversalMicroStepTM(t *testing.T) {
 	// The fully faithful mode: a genuine TM decides pixels on the embedded
 	// tape. BottomRowMachine realizes the spanning-line language. d >= 4 is
 	// required for the binary input to fit on the square tape.
-	out, err := RunUniversalMicroStep(tm.BottomRowMachine(), 4, 7, 400_000_000)
+	m := tm.BottomRowMachine()
+	w, err := NewUniversalWorld(&Universal{D: 4, Machine: m}, 7, 400_000_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	out := UniversalOutcomeOf(context.Background(), m, 4, w, w.Run())
 	if !out.Halted || !out.Match {
 		t.Fatalf("microstep d=4: %v", out)
 	}
-	if _, err := RunUniversalMicroStep(tm.BottomRowMachine(), 2, 1, 1000); err == nil {
+	if _, err := NewUniversalWorld(&Universal{D: 2, Machine: tm.BottomRowMachine()}, 1, 1000, nil); err == nil {
 		t.Fatal("d=2 should be rejected: input exceeds the tape")
 	}
 }
@@ -60,7 +70,7 @@ func TestUniversalPattern(t *testing.T) {
 	// Remark 4: patterns color the square and skip the release phase.
 	d := 4
 	proto := &Universal{D: d, Pattern: shapes.Checker()}
-	w, err := newUniversalWorld(proto, 3)
+	w, err := NewUniversalWorld(proto, 3, 50_000_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

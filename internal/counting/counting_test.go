@@ -10,7 +10,8 @@ func TestUpperBoundAlwaysHalts(t *testing.T) {
 	for _, tc := range []struct{ n, b int }{
 		{4, 1}, {4, 3}, {10, 2}, {50, 4}, {100, 5}, {7, 100}, // b > n clamps
 	} {
-		out := RunUpperBound(tc.n, tc.b, int64(tc.n*1000+tc.b))
+		w := NewUpperBoundWorld(tc.n, tc.b, int64(tc.n*1000+tc.b), 0, nil)
+		out := UpperBoundOutcomeOf(tc.b, w, w.Run())
 		if out.Steps == 0 {
 			t.Errorf("n=%d b=%d: did not run", tc.n, tc.b)
 		}
@@ -27,7 +28,8 @@ func TestUpperBoundSucceedsWHP(t *testing.T) {
 	successes := 0
 	var ratioSum float64
 	for i := 0; i < trials; i++ {
-		out := RunUpperBound(n, b, int64(i))
+		w := NewUpperBoundWorld(n, b, int64(i), 0, nil)
+		out := UpperBoundOutcomeOf(b, w, w.Run())
 		if out.Success {
 			successes++
 		}
@@ -85,7 +87,8 @@ func TestSimpleUIDTerminatesAndCounts(t *testing.T) {
 	const n, b, trials = 6, 3, 30
 	exact := 0
 	for i := 0; i < trials; i++ {
-		out := RunSimpleUID(n, b, int64(100+i), 5_000_000)
+		w := NewSimpleUIDWorld(n, b, int64(100+i), 5_000_000, nil)
+		out := SimpleUIDOutcomeOf(b, w, w.Run())
 		if out.Output == 0 {
 			t.Fatalf("trial %d: no agent terminated", i)
 		}
@@ -105,7 +108,8 @@ func TestSimpleUIDExpectedTimeGrowsWithB(t *testing.T) {
 	avg := func(b int) float64 {
 		var total int64
 		for i := 0; i < trials; i++ {
-			total += RunSimpleUID(n, b, int64(i), 50_000_000).Steps
+			w := NewSimpleUIDWorld(n, b, int64(i), 50_000_000, nil)
+			total += SimpleUIDOutcomeOf(b, w, w.Run()).Steps
 		}
 		return float64(total) / trials
 	}
@@ -119,7 +123,8 @@ func TestUIDWinnerIsMaxAndCoversPopulation(t *testing.T) {
 	const n, b, trials = 60, 4, 25
 	wins, success := 0, 0
 	for i := 0; i < trials; i++ {
-		out := RunUID(n, b, int64(i))
+		w := NewUIDWorld(n, b, int64(i), 0, nil)
+		out := UIDOutcomeOf(b, w, w.Run())
 		if out.Output == 0 {
 			t.Fatalf("trial %d: nobody halted", i)
 		}
@@ -182,7 +187,8 @@ func TestLeaderlessEarlyTerminationStaysLikely(t *testing.T) {
 		const trials = 40
 		hits := 0
 		for i := 0; i < trials; i++ {
-			if RunLeaderless(proto, n, int64(i), int64(50*n)).EarlyTermination {
+			w := NewLeaderlessWorld(proto, n, int64(i), int64(50*n), nil)
+			if LeaderlessOutcomeOf(w, w.Run()).EarlyTermination {
 				hits++
 			}
 		}

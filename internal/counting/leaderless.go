@@ -1,7 +1,6 @@
 package counting
 
 import (
-	"context"
 	"slices"
 
 	"shapesol/internal/pop"
@@ -108,20 +107,6 @@ func TwoZerosProtocol() *ObservationProtocol {
 		},
 		Target: []string{"q0", "q0"},
 	}
-}
-
-// RunLeaderless executes one Conjecture 1 trial.
-func RunLeaderless(proto *ObservationProtocol, n int, seed int64, maxSteps int64) LeaderlessOutcome {
-	out, _ := RunLeaderlessCtx(context.Background(), proto, n, seed, maxSteps, nil)
-	return out
-}
-
-// RunLeaderlessCtx is RunLeaderless under a cancelable context with an
-// optional progress callback.
-func RunLeaderlessCtx(ctx context.Context, proto *ObservationProtocol, n int, seed, maxSteps int64, progress func(int64)) (LeaderlessOutcome, pop.StopReason) {
-	w := NewLeaderlessWorld(proto, n, seed, maxSteps, progress)
-	res := w.RunContext(ctx)
-	return LeaderlessOutcomeOf(w, res), res.Reason
 }
 
 // NewLeaderlessWorld builds a Conjecture 1 evidence world, ready to Run

@@ -1,7 +1,6 @@
 package counting
 
 import (
-	"context"
 	"slices"
 
 	"shapesol/internal/pop"
@@ -98,20 +97,6 @@ type SimpleUIDOutcome struct {
 	Steps  int64 `json:"steps"`
 	Output int   `json:"output"` // count output by the first terminating agent
 	Exact  bool  `json:"exact"`  // Output == N
-}
-
-// RunSimpleUID executes the protocol until the first agent terminates.
-func RunSimpleUID(n, b int, seed int64, maxSteps int64) SimpleUIDOutcome {
-	out, _ := RunSimpleUIDCtx(context.Background(), n, b, seed, maxSteps, nil)
-	return out
-}
-
-// RunSimpleUIDCtx is RunSimpleUID under a cancelable context with an
-// optional progress callback.
-func RunSimpleUIDCtx(ctx context.Context, n, b int, seed, maxSteps int64, progress func(int64)) (SimpleUIDOutcome, pop.StopReason) {
-	w := NewSimpleUIDWorld(n, b, seed, maxSteps, progress)
-	res := w.RunContext(ctx)
-	return SimpleUIDOutcomeOf(b, w, res), res.Reason
 }
 
 // NewSimpleUIDWorld builds the Theorem 2 world, ready to Run or to
@@ -240,22 +225,8 @@ type UIDOutcome struct {
 	Success     bool  `json:"success"`       // Output >= n (Theorem 3's guarantee)
 }
 
-// RunUID executes Protocol 3 until the first agent halts.
-func RunUID(n, b int, seed int64) UIDOutcome {
-	out, _ := RunUIDCtx(context.Background(), n, b, seed, 0, nil)
-	return out
-}
-
-// RunUIDCtx is RunUID under a cancelable context with an explicit step
-// budget (0 means the engine default) and an optional progress callback.
-func RunUIDCtx(ctx context.Context, n, b int, seed, maxSteps int64, progress func(int64)) (UIDOutcome, pop.StopReason) {
-	w := NewUIDWorld(n, b, seed, maxSteps, progress)
-	res := w.RunContext(ctx)
-	return UIDOutcomeOf(b, w, res), res.Reason
-}
-
-// NewUIDWorld builds the Theorem 3 world, ready to Run or to restore a
-// snapshot into.
+// NewUIDWorld builds the Theorem 3 world (maxSteps 0 means the engine
+// default), ready to Run or to restore a snapshot into.
 func NewUIDWorld(n, b int, seed, maxSteps int64, progress func(int64)) *pop.World[*UIDState] {
 	return pop.New(n, &UID{B: b}, pop.Options{
 		Seed: seed, StopWhenAnyHalted: true, MaxSteps: maxSteps, Progress: progress,

@@ -7,7 +7,6 @@
 package counting
 
 import (
-	"context"
 	"fmt"
 
 	"shapesol/internal/pop"
@@ -175,29 +174,10 @@ type UpperBoundOutcome struct {
 	Estimate float64 `json:"estimate"` // R0 / n
 }
 
-// RunUpperBound executes the protocol once and reports the outcome. The
-// protocol halts in every execution (Theorem 1), so a MaxSteps exhaustion
-// indicates a much-too-small budget and is reported via Success=false with
-// Steps = budget.
-func RunUpperBound(n, b int, seed int64) UpperBoundOutcome {
-	out, _ := RunUpperBoundCtx(context.Background(), n, b, seed, 0, nil)
-	return out
-}
-
-// RunUpperBoundCtx is RunUpperBound under a cancelable context with an
-// explicit step budget (0 means the engine default) and an optional
-// progress callback. The stop reason distinguishes a halt from a canceled
-// or exhausted run.
-func RunUpperBoundCtx(ctx context.Context, n, b int, seed, maxSteps int64, progress func(int64)) (UpperBoundOutcome, pop.StopReason) {
-	w := NewUpperBoundWorld(n, b, seed, maxSteps, progress)
-	res := w.RunContext(ctx)
-	return UpperBoundOutcomeOf(b, w, res), res.Reason
-}
-
 // NewUpperBoundWorld builds the Theorem 1 world on the exact pair
-// scheduler, ready to Run (or to restore a snapshot into — the build /
-// run / read-out phases are separable so the job layer can checkpoint
-// and resume mid-flight).
+// scheduler (maxSteps 0 means the engine default), ready to Run (or to
+// restore a snapshot into — the build / run / read-out phases are
+// separable so the job layer can checkpoint and resume mid-flight).
 func NewUpperBoundWorld(n, b int, seed, maxSteps int64, progress func(int64)) *pop.World[UBState] {
 	return pop.New(n, &UpperBound{B: b}, pop.Options{
 		Seed: seed, StopWhenAnyHalted: true, MaxSteps: maxSteps, Progress: progress,
@@ -205,6 +185,9 @@ func NewUpperBoundWorld(n, b int, seed, maxSteps int64, progress func(int64)) *p
 }
 
 // UpperBoundOutcomeOf reads the measured outcome off a finished world.
+// The protocol halts in every execution (Theorem 1), so an exhausted
+// budget means a much-too-small one; it reads Success=false with Steps
+// equal to the budget.
 func UpperBoundOutcomeOf(b int, w *pop.World[UBState], res pop.Result) UpperBoundOutcome {
 	out := UpperBoundOutcome{N: w.N(), B: b, Steps: res.Steps}
 	if res.Reason != pop.ReasonHalted {
@@ -217,33 +200,17 @@ func UpperBoundOutcomeOf(b int, w *pop.World[UBState], res pop.Result) UpperBoun
 	return out
 }
 
-// RunUpperBoundUrn executes Counting-Upper-Bound on the urn-compressed
-// engine. The urn scheduler induces the same distribution over
-// configuration trajectories as pop's exact pair scheduler (per-seed
-// trajectories differ, aggregates agree statistically; see DESIGN.md), but
-// skips the ineffective convergence tail in O(1) per effective interaction,
-// so populations of 10^6 and beyond are practical.
+// NewUpperBoundUrnWorld builds the Theorem 1 world on the urn-compressed
+// scheduler, ready to Run or to restore a snapshot into. The urn scheduler
+// induces the same distribution over configuration trajectories as pop's
+// exact pair scheduler (per-seed trajectories differ, aggregates agree
+// statistically; see DESIGN.md), but skips the ineffective convergence
+// tail in O(1) per effective interaction, so populations of 10^6 and
+// beyond are practical.
 //
-// The step budget is effectively unbounded: the protocol halts in every
+// maxSteps 0 means effectively unbounded: the protocol halts in every
 // execution (Theorem 1) after Theta(n^2 log n) simulated steps, which the
 // urn engine advances past without iterating.
-func RunUpperBoundUrn(n, b int, seed int64) UpperBoundOutcome {
-	out, _ := RunUpperBoundUrnCtx(context.Background(), n, b, seed, 0, nil)
-	return out
-}
-
-// RunUpperBoundUrnCtx is RunUpperBoundUrn under a cancelable context with
-// an explicit simulated-step budget (0 means effectively unbounded) and an
-// optional progress callback.
-func RunUpperBoundUrnCtx(ctx context.Context, n, b int, seed, maxSteps int64, progress func(int64)) (UpperBoundOutcome, pop.StopReason) {
-	w := NewUpperBoundUrnWorld(n, b, seed, maxSteps, progress)
-	res := w.RunContext(ctx)
-	return UpperBoundUrnOutcomeOf(b, w, res), res.Reason
-}
-
-// NewUpperBoundUrnWorld builds the Theorem 1 world on the urn-compressed
-// scheduler (maxSteps 0 means effectively unbounded), ready to Run or to
-// restore a snapshot into.
 func NewUpperBoundUrnWorld(n, b int, seed, maxSteps int64, progress func(int64)) *urn.World[UBState] {
 	if maxSteps == 0 {
 		maxSteps = 1 << 62

@@ -17,8 +17,10 @@ func TestUrnMatchesExactUpperBound(t *testing.T) {
 	const n, b, trials = 120, 5, 60
 	var exSteps, urSteps, exR0, urR0 []float64
 	for seed := int64(0); seed < trials; seed++ {
-		ex := RunUpperBound(n, b, seed)
-		ur := RunUpperBoundUrn(n, b, seed)
+		ew := NewUpperBoundWorld(n, b, seed, 0, nil)
+		ex := UpperBoundOutcomeOf(b, ew, ew.Run())
+		uw := NewUpperBoundUrnWorld(n, b, seed, 0, nil)
+		ur := UpperBoundUrnOutcomeOf(b, uw, uw.Run())
 		if !ex.Success || !ur.Success {
 			t.Fatalf("seed %d: halting verdicts differ or failed: exact=%+v urn=%+v", seed, ex, ur)
 		}
@@ -48,7 +50,8 @@ func assertMeansAgree(t *testing.T, what string, xs, ys []float64) {
 // O(n) effective interactions out of Theta(n^2 log n) simulated steps.
 func TestUrnUpperBoundLargeN(t *testing.T) {
 	const n = 200_000
-	out := RunUpperBoundUrn(n, 5, 1)
+	w := NewUpperBoundUrnWorld(n, 5, 1, 0, nil)
+	out := UpperBoundUrnOutcomeOf(5, w, w.Run())
 	if !out.Success {
 		t.Fatalf("n=%d run failed: %+v", n, out)
 	}

@@ -5,8 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"shapesol/internal/core"
 	"shapesol/internal/counting"
 	"shapesol/internal/grid"
+	"shapesol/internal/sched"
+	"shapesol/internal/shapes"
 )
 
 func TestUnknownProtocol(t *testing.T) {
@@ -298,6 +301,30 @@ func TestCacheKeyShape(t *testing.T) {
 	}
 	if a.CacheKey() == c.CacheKey() {
 		t.Fatal("different shapes collide")
+	}
+}
+
+// TestUniversalD1 pins the universal spec's trivial case, which the spec
+// answers without building a world: the 1x1 square has no bonded pair to
+// schedule, so every language halts at step 0 with its one pixel decided,
+// and a fault profile, having no scheduler to perturb, is rejected.
+func TestUniversalD1(t *testing.T) {
+	ctx := context.Background()
+	for _, lang := range shapes.All() {
+		res, err := Run(ctx, Job{Protocol: "universal", Params: Params{D: 1, Lang: lang.Name()}, Seed: 7})
+		if err != nil {
+			t.Fatalf("%s: %v", lang.Name(), err)
+		}
+		out := res.Payload.(core.UniversalOutcome)
+		want := core.UniversalOutcome{D: 1, Halted: true, Match: true, Waste: shapes.Render(lang, 1).Waste()}
+		if out != want || !res.Halted || res.Steps != 0 || res.Reason != "halted" {
+			t.Errorf("%s: outcome %+v (halted=%v steps=%d reason=%q), want %+v halted at step 0",
+				lang.Name(), out, res.Halted, res.Steps, res.Reason, want)
+		}
+	}
+	_, err := Run(ctx, Job{Protocol: "universal", Params: Params{D: 1, Fault: &sched.Profile{CrashEvery: 100}}})
+	if err == nil || !strings.Contains(err.Error(), "no scheduler") {
+		t.Fatalf("err = %v, want the d=1 fault-profile rejection", err)
 	}
 }
 

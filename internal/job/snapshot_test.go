@@ -12,7 +12,10 @@ import (
 	"shapesol/internal/check"
 	"shapesol/internal/counting"
 	"shapesol/internal/grid"
+	"shapesol/internal/pop"
+	"shapesol/internal/pop/urn"
 	"shapesol/internal/rules"
+	"shapesol/internal/sched"
 	"shapesol/internal/sim"
 	"shapesol/internal/snap"
 )
@@ -257,16 +260,21 @@ func TestParamsShapeJSONRoundTrip(t *testing.T) {
 	}
 }
 
-// TestResumeRejectsCraftedEngineState replays two crafted snapshots that
-// killed the daemon through POST /v1/jobs/resume. Each is a well-framed
-// container whose engine state decodes but sizes an allocation from a
-// field nothing checked, so the resume ended in a fatal out-of-memory
-// error that no recover can catch: a stabilize memento claiming 1<<40
-// component slots, and a check memento whose NodeLen {MaxInt32, MaxInt32,
-// 2} wrapped an int32 sum to the length of its empty slot columns. Both
-// must now settle as resume errors.
+// TestResumeRejectsCraftedEngineState replays crafted snapshots that
+// reach an engine's restore through POST /v1/jobs/resume. The first two
+// killed the daemon: each is a well-framed container whose engine state
+// decodes but sizes an allocation from a field nothing checked, so the
+// resume ended in a fatal out-of-memory error that no recover can catch —
+// a stabilize memento claiming 1<<40 component slots, and a check memento
+// whose NodeLen {MaxInt32, MaxInt32, 2} wrapped an int32 sum to the length
+// of its empty slot columns. The pop and urn rows push a churn run's step
+// count 2048 mean gaps past its fault clock: restore accepted any lag, and
+// the first drain then delivered every missed event before the run could
+// see a cancel. All must settle as resume errors.
 func TestResumeRejectsCraftedEngineState(t *testing.T) {
 	ctx := context.Background()
+	churn := &sched.Profile{ArriveEvery: 1000}
+	const lag = 2048 * 1000 // twice the restore bound, in the profile's mean gaps
 	for _, tc := range []struct {
 		name    string
 		job     Job
@@ -293,6 +301,24 @@ func TestResumeRejectsCraftedEngineState(t *testing.T) {
 				m.ViaA, m.ViaB, m.ViaNA, m.ViaNB = make([]int32, 3), make([]int32, 3), make([]int32, 3), make([]int32, 3)
 				m.Head = 0
 				return m
+			}},
+		{"counting-upper-bound.pop.backlog", Job{Protocol: "counting-upper-bound", Params: Params{N: 60, Fault: churn}, Seed: 1, MaxSteps: 3_000_000},
+			func(t *testing.T, state []byte) any {
+				var m pop.Memento[counting.UBState]
+				if err := snap.DecodeState(state, &m); err != nil {
+					t.Fatal(err)
+				}
+				m.Steps += lag
+				return &m
+			}},
+		{"counting-upper-bound.urn.backlog", Job{Protocol: "counting-upper-bound", Engine: EngineUrn, Params: Params{N: 1000, Fault: churn}, Seed: 1, MaxSteps: 100_000_000},
+			func(t *testing.T, state []byte) any {
+				var m urn.Memento[counting.UBState]
+				if err := snap.DecodeState(state, &m); err != nil {
+					t.Fatal(err)
+				}
+				m.Steps += lag
+				return &m
 			}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

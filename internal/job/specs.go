@@ -226,7 +226,7 @@ func init() {
 			if err != nil {
 				return nil, err
 			}
-			return core.NewUniversalWorld(lang, j.Params.D, j.Seed, j.MaxSteps, progress)
+			return core.NewUniversalWorld(&core.Universal{D: j.Params.D, Lang: lang}, j.Seed, j.MaxSteps, progress)
 		},
 		func(ctx context.Context, j Job, w *sim.World[core.UniversalState], res sim.Result) (Outcome, error) {
 			lang, err := shapes.ByName(j.Params.Lang)
@@ -259,11 +259,8 @@ func init() {
 				if err != nil {
 					return Outcome{}, err
 				}
-				out, reason, err := core.RunUniversalOnSquareCtx(ctx, lang, 1, j.Seed, j.MaxSteps, j.Progress)
-				if err != nil {
-					return Outcome{}, err
-				}
-				return simOutcome(out, out.Steps, reason, reason == sim.ReasonHalted), nil
+				out := core.UniversalOutcome{D: 1, Halted: true, Match: lang.Pixel(0, 1)}
+				return simOutcome(out, 0, sim.ReasonHalted, true), nil
 			}
 			return runUniversal(ctx, j)
 		},

@@ -79,7 +79,7 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 		return err
 	}
 	if w.agents != nil {
-		if err := w.agents.RestoreState(m.Sched); err != nil {
+		if err := w.agents.RestoreState(m.Sched, m.Steps); err != nil {
 			return err
 		}
 	}

@@ -183,7 +183,7 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 			}
 		}
 		if w.clock != nil {
-			if err := w.clock.SetState(m.Sched.Clock); err != nil {
+			if err := w.clock.SetState(m.Sched.Clock, m.Steps); err != nil {
 				return err
 			}
 		}

@@ -77,7 +77,8 @@ func TestSummarizeDeterministicAcrossWorkerCounts(t *testing.T) {
 // count (the property cmd/experiments -parallel relies on).
 func TestRealWorkloadDeterministic(t *testing.T) {
 	run := func(seed int64) Trial {
-		out := counting.RunUpperBound(50, 4, seed)
+		w := counting.NewUpperBoundWorld(50, 4, seed, 0, nil)
+		out := counting.UpperBoundOutcomeOf(4, w, w.Run())
 		return Trial{
 			Seed:   seed,
 			Steps:  out.Steps,

@@ -191,14 +191,6 @@ func (a *Agents) NextPending() int64 {
 	return a.clock.NextPending()
 }
 
-// FaultBacklog is the fault clock's Backlog at step; 0 without a clock.
-func (a *Agents) FaultBacklog(step int64) int64 {
-	if a.clock == nil {
-		return 0
-	}
-	return a.clock.Backlog(step)
-}
-
 // setFlags installs agent k's new flag byte, keeping the eligibility
 // weights and census counters in sync.
 func (a *Agents) setFlags(k int, f uint8) {
@@ -353,9 +345,10 @@ func (a *Agents) State() *AgentsState {
 }
 
 // RestoreState reinstalls an exported state onto agents freshly built
-// (via NewAgents) from the same normalized profile, rebuilding the
-// eligibility weights from the flags.
-func (a *Agents) RestoreState(s *AgentsState) error {
+// (via NewAgents) from the same normalized profile, for a run restored at
+// step, rebuilding the eligibility weights from the flags. The fault
+// clock's state is checked against step (see Clock.SetState).
+func (a *Agents) RestoreState(s *AgentsState, step int64) error {
 	if s.Founders != a.founders {
 		return fmt.Errorf("sched: snapshot founders %d, run has %d", s.Founders, a.founders)
 	}
@@ -385,7 +378,7 @@ func (a *Agents) RestoreState(s *AgentsState) error {
 		}
 	}
 	if a.clock != nil {
-		if err := a.clock.SetState(s.Clock); err != nil {
+		if err := a.clock.SetState(s.Clock, step); err != nil {
 			return err
 		}
 	}

@@ -196,16 +196,30 @@ func (c *Clock) State() ClockState {
 	return s
 }
 
-// SetState reinstalls an exported clock state. The event means come from
-// the profile (re-normalized at restore time), not the state blob, and a
-// state the profile cannot produce is rejected: a lane the profile
-// disables must stay retired (it would otherwise fire on every step), and
-// an enabled lane's next firing is at step 1 or later.
-func (c *Clock) SetState(s ClockState) error {
+// maxBacklog bounds how far a restored clock may lag the run's step
+// count, in mean gaps of its most overdue lane. A state captured on a
+// run's Progress cadence has drained every due event (backlog 0), and one
+// captured between hand-driven steps lags by the steps taken since; a
+// backlog beyond this bound only comes from a crafted snapshot, and would
+// have the next drain deliver an unbounded burst of events (arrivals
+// included) before the run could be canceled.
+const maxBacklog = 1024
+
+// SetState reinstalls an exported clock state for a run restored at step.
+// The event means come from the profile (re-normalized at restore time),
+// not the state blob, and a state the profile cannot produce is rejected:
+// a lane the profile disables must stay retired (it would otherwise fire
+// on every step), an enabled lane's next firing is at step 1 or later,
+// and no lane may lag step by more than maxBacklog mean gaps.
+func (c *Clock) SetState(s ClockState, step int64) error {
 	for e := Event(0); e < numEvents; e++ {
 		if next := s.Next[e]; next < 1 || (c.means[e] == 0 && next != noEvent) {
 			return fmt.Errorf("sched: clock lane %v scheduled at step %d", e, next)
 		}
+	}
+	restored := Clock{means: c.means, next: s.Next}
+	if b := restored.Backlog(step); b > maxBacklog {
+		return fmt.Errorf("sched: clock lags step %d by %d mean gaps", step, b)
 	}
 	if err := c.rng.SetState(s.RNG); err != nil {
 		return fmt.Errorf("sched: clock %w", err)

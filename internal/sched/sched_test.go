@@ -212,7 +212,7 @@ func TestClockDeterminismAndResume(t *testing.T) {
 	head := run(c2, 0, 2048)
 	state := c2.State()
 	c3 := NewClock(p, 42)
-	if err := c3.SetState(state); err != nil {
+	if err := c3.SetState(state, 2048); err != nil {
 		t.Fatal(err)
 	}
 	tail := run(c3, 2064, 4096)
@@ -230,7 +230,8 @@ func TestClockDeterminismAndResume(t *testing.T) {
 
 // TestClockStateValidationAndBacklog checks that SetState rejects clock
 // states the profile cannot produce — a disabled lane scheduled (it would
-// fire on every step once due) or a lane firing before step 1 — and that
+// fire on every step once due), a lane firing before step 1, or a lane
+// lagging the restored step by more than maxBacklog mean gaps — and that
 // Backlog counts the mean gaps the most overdue lane lags behind a step.
 func TestClockStateValidationAndBacklog(t *testing.T) {
 	p := Profile{CrashEvery: 100}
@@ -241,15 +242,21 @@ func TestClockStateValidationAndBacklog(t *testing.T) {
 	} {
 		bad := st
 		corrupt(&bad)
-		if err := NewClock(p, 1).SetState(bad); err == nil {
+		if err := NewClock(p, 1).SetState(bad, 0); err == nil {
 			t.Errorf("%s: SetState accepted %+v", name, bad)
 		}
 	}
+	next := st.Next[EvCrash]
+	if err := NewClock(p, 1).SetState(st, next+maxBacklog*100); err != nil {
+		t.Errorf("SetState rejected a backlog of exactly maxBacklog: %v", err)
+	}
+	if err := NewClock(p, 1).SetState(st, next+(maxBacklog+1)*100); err == nil {
+		t.Error("SetState accepted a backlog above maxBacklog")
+	}
 	c := NewClock(p, 1)
-	if err := c.SetState(st); err != nil {
+	if err := c.SetState(st, 0); err != nil {
 		t.Fatal(err)
 	}
-	next := st.Next[EvCrash]
 	for _, tc := range []struct{ step, want int64 }{
 		{next - 1, 0}, {next, 0}, {next + 99, 0}, {next + 1000, 10},
 		{noEvent, math.MaxInt64}, // the disabled lanes' sentinel is due
@@ -500,7 +507,7 @@ func TestAgentsStateRoundTrip(t *testing.T) {
 	st := a.State()
 
 	b := NewAgents(p, 10, 3)
-	if err := b.RestoreState(st); err != nil {
+	if err := b.RestoreState(st, 0); err != nil {
 		t.Fatal(err)
 	}
 	if b.Active() != a.Active() || b.Present() != a.Present() || b.Len() != a.Len() {
@@ -533,7 +540,7 @@ func TestAgentsStateRoundTrip(t *testing.T) {
 	}
 	// Mismatched restore target is rejected.
 	c := NewAgents(p, 11, 3)
-	if err := c.RestoreState(st); err == nil {
+	if err := c.RestoreState(st, 0); err == nil {
 		t.Fatal("founders mismatch accepted")
 	}
 }

@@ -57,15 +57,6 @@ type Memento[S any] struct {
 	Sched *sched.AgentsState
 }
 
-// maxFaultBacklog bounds how far a restored fault clock may lag the step
-// count, in mean gaps of its most overdue lane. A memento captured on the
-// Progress cadence has drained every due event (backlog 0), and one
-// captured between hand-driven steps lags by the steps taken since; a
-// backlog beyond this bound only comes from a crafted snapshot, and would
-// have the next CheckEvery window deliver an unbounded burst of events
-// (arrivals included) before the run could be canceled.
-const maxFaultBacklog = 1024
-
 // Memento captures the World's current state. Everything is deep-copied,
 // so the capture stays valid while the run continues. Capture only
 // between steps — e.g. from the Progress callback, which fires with the
@@ -167,11 +158,8 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 		return err
 	}
 	if w.agents != nil {
-		if err := w.agents.RestoreState(m.Sched); err != nil {
+		if err := w.agents.RestoreState(m.Sched, m.Steps); err != nil {
 			return err
-		}
-		if b := w.agents.FaultBacklog(m.Steps); b > maxFaultBacklog {
-			return fmt.Errorf("sim: snapshot fault clock lags its step count by %d mean gaps", b)
 		}
 	}
 
