@@ -1,9 +1,12 @@
 package shapesol
 
-// One benchmark per experiment of EXPERIMENTS.md (E1-E18). Each reports
-// scheduler steps per run via b.ReportMetric so that the experiment tables
-// can be regenerated from `go test -bench . -benchmem`; absolute ns/op is
-// secondary (the paper's unit is interactions, not wall-clock).
+// Benchmarks of the paper's experiments. BenchmarkExperiments runs every
+// row of the experiment registry (internal/experiments); the rest measure
+// what the registry does not declare: the bench-only spanning runs of
+// E5/E6, the MicroStep TM variant of E9, the urn's head-to-head and
+// scaling runs (E14, E15), large check explorations and raw engine steps.
+// Each reports scheduler steps per run via b.ReportMetric; absolute ns/op
+// is secondary (the paper's unit is interactions, not wall-clock).
 
 import (
 	"context"
@@ -12,10 +15,12 @@ import (
 
 	"shapesol/internal/core"
 	"shapesol/internal/counting"
+	"shapesol/internal/experiments"
 	"shapesol/internal/grid"
+	"shapesol/internal/job"
 	"shapesol/internal/pop"
 	"shapesol/internal/rules"
-	"shapesol/internal/shapes"
+	"shapesol/internal/runner"
 	"shapesol/internal/sim"
 	"shapesol/internal/tm"
 )
@@ -23,64 +28,6 @@ import (
 func reportSteps(b *testing.B, total int64) {
 	b.Helper()
 	b.ReportMetric(float64(total)/float64(b.N), "steps/op")
-}
-
-// E1/E2 — Theorem 1 and Remarks 1-2: terminating counting with a leader.
-func BenchmarkE1CountingUpperBound(b *testing.B) {
-	for _, n := range []int{100, 300, 1000} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var steps, r0 int64
-			for i := 0; i < b.N; i++ {
-				w := counting.NewUpperBoundWorld(n, 5, int64(i), 0, nil)
-				out := counting.UpperBoundOutcomeOf(5, w, w.Run())
-				steps += out.Steps
-				r0 += out.R0
-			}
-			reportSteps(b, steps)
-			b.ReportMetric(float64(r0)/float64(b.N)/float64(n), "r0/n")
-		})
-	}
-}
-
-func BenchmarkE2CountingTimeScaling(b *testing.B) {
-	for _, n := range []int{50, 100, 200, 400} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				w := counting.NewUpperBoundWorld(n, 4, int64(i), 0, nil)
-				steps += counting.UpperBoundOutcomeOf(4, w, w.Run()).Steps
-			}
-			reportSteps(b, steps)
-		})
-	}
-}
-
-// E3 — Theorem 2: simple UID counting, expected time Theta(n^b).
-func BenchmarkE3SimpleUIDCounting(b *testing.B) {
-	for _, cfg := range []struct{ n, b int }{{6, 2}, {6, 3}, {8, 2}} {
-		b.Run(fmt.Sprintf("n=%d/b=%d", cfg.n, cfg.b), func(b *testing.B) {
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				w := counting.NewSimpleUIDWorld(cfg.n, cfg.b, int64(i), 100_000_000, nil)
-				steps += counting.SimpleUIDOutcomeOf(cfg.b, w, w.Run()).Steps
-			}
-			reportSteps(b, steps)
-		})
-	}
-}
-
-// E4 — Theorem 3: improved UID counting.
-func BenchmarkE4UIDCounting(b *testing.B) {
-	for _, n := range []int{50, 200} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				w := counting.NewUIDWorld(n, 4, int64(i), 0, nil)
-				steps += counting.UIDOutcomeOf(4, w, w.Run()).Steps
-			}
-			reportSteps(b, steps)
-		})
-	}
 }
 
 // runTableUntilSpanning drives a stabilizing table protocol until the
@@ -138,72 +85,42 @@ func BenchmarkE6Square2(b *testing.B) {
 	}
 }
 
-// E7 — Lemma 1: Counting-on-a-Line.
-func BenchmarkE7CountingOnALine(b *testing.B) {
-	for _, n := range []int{16, 32} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				w := core.NewCountLineWorld(n, 3, int64(i), 200_000_000, nil)
-				out := core.CountLineOutcomeOf(3, w, w.Run())
-				if !out.Halted {
-					b.Fatal("counting on a line did not halt")
-				}
-				steps += out.Steps
-			}
-			reportSteps(b, steps)
-		})
-	}
-}
-
-// E8 — Lemma 2: Square-Knowing-n.
-func BenchmarkE8SquareKnowingN(b *testing.B) {
-	for _, d := range []int{3, 4} {
-		b.Run(fmt.Sprintf("d=%d", d), func(b *testing.B) {
-			var steps int64
-			halted := 0
-			for i := 0; i < b.N; i++ {
-				w := core.NewSquareKnowingNWorld(d*d, d, int64(i), 30_000_000, nil)
-				out := core.SquareKnowingNOutcomeOf(context.Background(), d, w, w.Run())
-				if out.Halted {
-					halted++
-				}
-				steps += out.Steps
-			}
-			reportSteps(b, steps)
-			b.ReportMetric(float64(halted)/float64(b.N), "halt-rate")
-		})
-	}
-}
-
-// E9 — Theorem 4: the universal constructor (oracle decisions) plus the
-// fully faithful MicroStep TM variant.
-func BenchmarkE9Universal(b *testing.B) {
-	for _, name := range []string{"star", "cross", "bottom-row"} {
-		for _, d := range []int{6, 10} {
-			b.Run(fmt.Sprintf("%s/d=%d", name, d), func(b *testing.B) {
-				lang, err := shapes.ByName(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				var steps int64
-				for i := 0; i < b.N; i++ {
-					w, err := core.NewUniversalWorld(&core.Universal{D: d, Lang: lang}, int64(i), 500_000_000, nil)
-					if err != nil {
-						b.Fatal(err)
-					}
-					out := core.UniversalOutcomeOf(context.Background(), lang, d, w, w.Run())
-					if !out.Match {
-						b.Fatalf("universal failed: %v", out)
-					}
-					steps += out.Steps
-				}
-				reportSteps(b, steps)
-			})
+// BenchmarkExperiments runs every registry row once per iteration through
+// job.Run, seeded 0, 1, ... by iteration, and reports each flag's rate
+// beside the steps. E14 and E15 keep their own benchmarks below, which
+// bench.yml and scripts/bench_urn.sh read.
+func BenchmarkExperiments(b *testing.B) {
+	for _, e := range experiments.All() {
+		if e.ID == "E14" || e.ID == "E15" {
+			continue
 		}
+		b.Run(e.ID, func(b *testing.B) {
+			for _, c := range e.Rows {
+				b.Run(c.Label, func(b *testing.B) {
+					trials := make([]runner.Trial, b.N)
+					for i := range trials {
+						j := c.Job
+						j.Seed = int64(i)
+						res, err := job.Run(context.Background(), j)
+						if err != nil {
+							b.Fatal(err)
+						}
+						trials[i] = e.Measure(res)
+						trials[i].Steps = res.Steps
+					}
+					agg := runner.Summarize(trials)
+					b.ReportMetric(agg.Steps.Mean, "steps/op")
+					for flag, rate := range agg.Rates {
+						b.ReportMetric(rate.P, flag+"-rate")
+					}
+				})
+			}
+		})
 	}
 }
 
+// E9 — Theorem 4: the fully faithful MicroStep TM variant of the universal
+// constructor, which has no job form.
 func BenchmarkE9UniversalMicroStepTM(b *testing.B) {
 	var steps int64
 	for i := 0; i < b.N; i++ {
@@ -219,55 +136,6 @@ func BenchmarkE9UniversalMicroStepTM(b *testing.B) {
 		steps += out.Steps
 	}
 	reportSteps(b, steps)
-}
-
-// E10 — Theorem 5: parallel simulations on 3D memory columns.
-func BenchmarkE10Parallel3D(b *testing.B) {
-	for _, cfg := range []struct{ d, k int }{{3, 3}, {4, 3}} {
-		b.Run(fmt.Sprintf("d=%d/k=%d", cfg.d, cfg.k), func(b *testing.B) {
-			var steps int64
-			for i := 0; i < b.N; i++ {
-				w, err := core.NewParallel3DWorld(shapes.Star(), cfg.d, cfg.k, int64(i), 300_000_000, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				out := core.Parallel3DOutcomeOf(shapes.Star(), cfg.d, cfg.k, w, w.Run())
-				if !out.Decided {
-					b.Fatalf("parallel failed: %v", out)
-				}
-				steps += out.Steps
-			}
-			reportSteps(b, steps)
-		})
-	}
-}
-
-// E12 — Section 7: shape self-replication.
-func BenchmarkE12Replication(b *testing.B) {
-	shapesToCopy := map[string]*grid.Shape{
-		"line3":  grid.ShapeOf(grid.Pos{}, grid.Pos{X: 1}, grid.Pos{X: 2}),
-		"lshape": grid.ShapeOf(grid.Pos{}, grid.Pos{X: 1}, grid.Pos{X: 2}, grid.Pos{Y: 1}),
-	}
-	for name, g := range shapesToCopy {
-		b.Run(name, func(b *testing.B) {
-			free := 2*g.EnclosingRect().Size() - g.Size()
-			var steps int64
-			copies := 0
-			for i := 0; i < b.N; i++ {
-				w, err := core.NewReplicationWorld(g, free, int64(i), 200_000_000, nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				out := core.ReplicationOutcomeOf(context.Background(), g, w, w.Run())
-				if out.Copies == 2 {
-					copies++
-				}
-				steps += out.Steps
-			}
-			reportSteps(b, steps)
-			b.ReportMetric(float64(copies)/float64(b.N), "copy-rate")
-		})
-	}
 }
 
 // E14 — the urn engine at scale, plus its head-to-head against the exact
@@ -348,14 +216,14 @@ func BenchmarkE15UrnScaling(b *testing.B) {
 	}
 }
 
-// E18 — exact verification on the check engine: exhaustive exploration
-// plus verdict of the full Theorem 1 configuration space. The multiset
-// quotient makes the space O(n^2), so the reported configs/op doubles as
-// a scaling check; no randomness is consumed, every iteration does
-// identical work.
+// E18 at scale — exact verification on the check engine: exhaustive
+// exploration plus verdict of the full Theorem 1 configuration space,
+// beyond the registry's n <= 8. The multiset quotient makes the space
+// O(n^2), so the reported configs/op doubles as a scaling check; no
+// randomness is consumed, every iteration does identical work.
 func BenchmarkE18CheckExhaustive(b *testing.B) {
 	const headStart = 5
-	for _, n := range []int{8, 64, 256} {
+	for _, n := range []int{64, 256} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
 			var configs int64
 			for i := 0; i < b.N; i++ {
@@ -368,23 +236,6 @@ func BenchmarkE18CheckExhaustive(b *testing.B) {
 				configs += out.Configs
 			}
 			b.ReportMetric(float64(configs)/float64(b.N), "configs/op")
-		})
-	}
-}
-
-// E13 — Conjecture 1 evidence: leaderless early termination.
-func BenchmarkE13LeaderlessEvidence(b *testing.B) {
-	proto := counting.TwoZerosProtocol()
-	for _, n := range []int{50, 500} {
-		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
-			early := 0
-			for i := 0; i < b.N; i++ {
-				w := counting.NewLeaderlessWorld(proto, n, int64(i), int64(50*n), nil)
-				if counting.LeaderlessOutcomeOf(w, w.Run()).EarlyTermination {
-					early++
-				}
-			}
-			b.ReportMetric(float64(early)/float64(b.N), "early-rate")
 		})
 	}
 }

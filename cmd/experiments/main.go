@@ -1,11 +1,12 @@
 // Command experiments regenerates the paper's measurement tables: every
 // theorem's quantitative claim and the figures' configurations.
 //
-// Every experiment is a set of Jobs against the protocol registry of
-// internal/job (see EXPERIMENTS.md for the experiment-to-spec map).
-// Trials fan out across a worker pool (internal/runner.RunMany); one
-// world per seed per worker, results folded in seed order, so the output
-// — including the -json form — is byte-identical for any worker count.
+// Every experiment is declared once in internal/experiments, as a set of
+// Jobs against the protocol registry of internal/job (see EXPERIMENTS.md
+// for the experiment-to-spec map). Trials fan out across a worker pool;
+// one world per seed per worker, results folded in seed order, so the
+// output — including the -json form — is byte-identical for any worker
+// count.
 //
 // Usage:
 //
@@ -26,161 +27,39 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
-	"sort"
+	"slices"
 	"strings"
 
 	"shapesol/internal/buildinfo"
-	"shapesol/internal/check"
-	"shapesol/internal/core"
-	"shapesol/internal/counting"
+	"shapesol/internal/experiments"
 	"shapesol/internal/grid"
 	"shapesol/internal/job"
 	"shapesol/internal/profiling"
-	"shapesol/internal/runner"
-	"shapesol/internal/sched"
 	"shapesol/internal/shapes"
-	"shapesol/internal/stats"
 	"shapesol/internal/viz"
 )
-
-// registry is the single source of truth for the experiment set: run order,
-// the -exp lookup table, and every advertised id list (help text, unknown-
-// experiment errors) all derive from it, so they cannot drift. Each entry
-// names the internal/job protocol spec it measures — and, when it runs on
-// a non-default engine, which one — and the experiment function receives
-// the spec name and builds its Jobs from it; the spec column (which
-// EXPERIMENTS.md renders as the id-to-spec map) is the single source of
-// which protocol an experiment runs. Gaps in the numbering are intentional
-// — see EXPERIMENTS.md (E5/E6 are bench-only stabilization measurements).
-var registry = []struct {
-	id     string
-	spec   string // protocol spec name in the internal/job registry
-	engine string // engine override; "" means the spec's default
-	fn     func(config, string) Report
-}{
-	{"E1", "counting-upper-bound", "", e1},
-	{"E2", "counting-upper-bound", "", e2},
-	{"E3", "simple-uid", "", e3},
-	{"E4", "uid", "", e4},
-	{"E7", "count-line", "", e7},
-	{"E8", "square-knowing-n", "", e8},
-	{"E9", "universal", "", e9},
-	{"E10", "parallel-3d", "", e10},
-	{"E11", "parallel-3d", "", e11},
-	{"E12", "replication", "", e12},
-	{"E13", "leaderless", "", e13},
-	{"E14", "counting-upper-bound", "urn", e14},
-	{"E15", "counting-upper-bound", "urn", e15},
-	{"E16", "counting-upper-bound", "", e16},
-	{"E17", "counting-upper-bound", "urn", e17},
-	{"E18", "counting-upper-bound", "check", e18},
-	{"E19", "counting-upper-bound", "check", e19},
-}
-
-// registryIDs returns the advertised experiment ids in run order.
-func registryIDs() []string {
-	ids := make([]string, len(registry))
-	for i, e := range registry {
-		ids[i] = e.id
-	}
-	return ids
-}
-
-// registryEngine resolves one entry's execution engine: the declared
-// override, or its spec's default.
-func registryEngine(spec *job.Spec, override string) job.Engine {
-	if override != "" {
-		return job.Engine(override)
-	}
-	return spec.Engines[0]
-}
-
-// checkSpecs guards the experiment-to-spec map against drift: every
-// experiment must reference a protocol that is actually registered in
-// the internal/job registry, and any declared engine must be one the
-// spec supports — both answered by the registry itself, so a new engine
-// or protocol never needs a parallel edit here.
-func checkSpecs() error {
-	for _, e := range registry {
-		spec, ok := job.Get(e.spec)
-		if !ok {
-			return fmt.Errorf("experiment %s references unregistered protocol spec %q (have %s)",
-				e.id, e.spec, strings.Join(job.Names(), ", "))
-		}
-		if e.engine != "" && !spec.Supports(job.Engine(e.engine)) {
-			return fmt.Errorf("experiment %s declares engine %q, which protocol %q does not support (supported: %v)",
-				e.id, e.engine, e.spec, spec.Engines)
-		}
-	}
-	return nil
-}
-
-// knownEngines renders the job registry's engine union for flag help and
-// validation.
-func knownEngines() string {
-	engines := job.Engines()
-	parts := make([]string, len(engines))
-	for i, e := range engines {
-		parts[i] = string(e)
-	}
-	return strings.Join(parts, ", ")
-}
-
-// config carries the trial plan shared by every experiment.
-type config struct {
-	trials  int
-	workers int
-	seed    int64
-}
-
-func (c config) seeds() []int64 { return runner.Seeds(c.seed, c.trials) }
-
-// collect is the shared measurement pipeline: run one Job per seed across
-// the worker pool and fold the Result envelopes into an Aggregate. mk
-// extracts the experiment's flags and values from the typed payload; seed
-// and step count come from the envelope.
-func (c config) collect(j job.Job, mk func(job.Result) runner.Trial) runner.Aggregate {
-	results, err := runner.RunMany(context.Background(), c.workers, j, c.seeds())
-	if err != nil {
-		panic(fmt.Sprintf("experiments: %v", err))
-	}
-	trials := make([]runner.Trial, len(results))
-	for i, res := range results {
-		t := mk(res)
-		t.Seed = res.Seed
-		t.Steps = res.Steps
-		trials[i] = t
-	}
-	return runner.Summarize(trials)
-}
-
-// Row is one experiment configuration's aggregated outcome.
-type Row struct {
-	Label  string           `json:"label"`
-	Params map[string]int   `json:"params,omitempty"`
-	Agg    runner.Aggregate `json:"agg"`
-}
-
-// Report is one experiment's full result set.
-type Report struct {
-	ID      string             `json:"id"`
-	Title   string             `json:"title"`
-	Rows    []Row              `json:"rows"`
-	Derived map[string]float64 `json:"derived,omitempty"`
-	Note    string             `json:"note,omitempty"`
-}
 
 func main() {
 	os.Exit(run())
 }
 
 func run() int {
+	all := experiments.All()
+	ids := make([]string, len(all))
+	for i, e := range all {
+		ids[i] = e.ID
+	}
+	var engines []string
+	for _, e := range job.Engines() {
+		engines = append(engines, string(e))
+	}
 	var (
 		exp = flag.String("exp", "",
-			fmt.Sprintf("experiment id (one of %s); empty runs all", strings.Join(registryIDs(), " ")))
+			fmt.Sprintf("experiment id (one of %s); empty runs all", strings.Join(ids, " ")))
 		engine = flag.String("engine", "",
-			"run only the experiments executing on this engine (one of "+knownEngines()+"); empty runs all")
+			"run only the experiments executing on this engine (one of "+strings.Join(engines, ", ")+"); empty runs all")
 		trials     = flag.Int("trials", 20, "trials per configuration")
 		parallel   = flag.Bool("parallel", false, "fan trials across all CPU cores")
 		workers    = flag.Int("workers", 0, "exact worker count (overrides -parallel)")
@@ -218,70 +97,61 @@ func run() int {
 		}
 	}()
 
-	if err := checkSpecs(); err != nil {
-		fmt.Fprintln(os.Stderr, "experiments:", err)
-		return 1
-	}
-
 	if *figures {
 		renderFigures()
 		return 0
 	}
 
-	cfg := config{trials: *trials, seed: *seed, workers: 1}
+	poolSize := 1
 	switch {
 	case *workers > 0:
-		cfg.workers = *workers
+		poolSize = *workers
 	case *parallel:
-		cfg.workers = 0 // runner.Workers: all cores
+		poolSize = 0 // runner.Workers: all cores
 	}
 
-	all := make(map[string]func(config) Report, len(registry))
-	for _, e := range registry {
-		e := e
-		all[e.id] = func(cfg config) Report { return e.fn(cfg, e.spec) }
-	}
-	ids := registryIDs()
+	selected := all
 	if *exp != "" {
-		if _, ok := all[*exp]; !ok {
+		e, ok := experiments.Lookup(*exp)
+		if !ok {
 			fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q (have %s)\n",
 				*exp, strings.Join(ids, ", "))
 			return 2
 		}
-		ids = []string{*exp}
+		selected = []experiments.Experiment{e}
 	}
 	if *engine != "" {
-		want := job.Engine(*engine)
-		known := false
-		for _, e := range job.Engines() {
-			known = known || e == want
-		}
-		if !known {
+		if !slices.Contains(engines, *engine) {
 			fmt.Fprintf(os.Stderr, "experiments: unknown engine %q (registry engines: %s)\n",
-				*engine, knownEngines())
+				*engine, strings.Join(engines, ", "))
 			return 2
 		}
-		engineOf := make(map[string]job.Engine, len(registry))
-		for _, e := range registry {
-			spec, _ := job.Get(e.spec) // checkSpecs validated the lookup above
-			engineOf[e.id] = registryEngine(spec, e.engine)
-		}
-		kept := ids[:0]
-		for _, id := range ids {
-			if engineOf[id] == want {
-				kept = append(kept, id)
+		var kept []experiments.Experiment
+		for _, e := range selected {
+			j, _, err := job.Normalize(e.Rows[0].Job)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "experiments:", err)
+				return 1
+			}
+			if j.Engine == job.Engine(*engine) {
+				kept = append(kept, e)
 			}
 		}
 		if len(kept) == 0 {
 			fmt.Fprintf(os.Stderr, "experiments: no selected experiment runs on engine %q\n", *engine)
 			return 2
 		}
-		ids = kept
+		selected = kept
 	}
 
-	reports := make([]Report, 0, len(ids))
-	for _, id := range ids {
-		reports = append(reports, all[id](cfg))
+	reports := make([]experiments.Report, 0, len(selected))
+	for _, e := range selected {
+		r, err := e.Run(context.Background(), poolSize, *trials, *seed)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "experiments:", err)
+			return 1
+		}
+		reports = append(reports, r)
 	}
 
 	if *asJSON {
@@ -303,460 +173,24 @@ func run() int {
 }
 
 // printReport renders one report as a plain-text table.
-func printReport(r Report) {
+func printReport(r experiments.Report) {
 	fmt.Printf("%s — %s\n", r.ID, r.Title)
 	for _, row := range r.Rows {
 		fmt.Printf("  %-18s steps mean=%-12.0f", row.Label, row.Agg.Steps.Mean)
-		for _, k := range sortedKeys(row.Agg.Rates) {
+		for _, k := range slices.Sorted(maps.Keys(row.Agg.Rates)) {
 			fmt.Printf("  %s %s", k, row.Agg.Rates[k])
 		}
-		for _, k := range sortedKeys(row.Agg.Means) {
+		for _, k := range slices.Sorted(maps.Keys(row.Agg.Means)) {
 			fmt.Printf("  %s=%.3f", k, row.Agg.Means[k])
 		}
 		fmt.Println()
 	}
-	for _, k := range sortedKeys(r.Derived) {
+	for _, k := range slices.Sorted(maps.Keys(r.Derived)) {
 		fmt.Printf("  %s = %.2f\n", k, r.Derived[k])
 	}
 	if r.Note != "" {
 		fmt.Printf("  paper: %s\n", r.Note)
 	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-func e1(cfg config, spec string) Report {
-	r := Report{ID: "E1", Title: "Theorem 1 / Remark 2: Counting-Upper-Bound (b=5)",
-		Note: "halts always; r0 >= n/2 w.h.p.; estimate ~0.9n for n <= 1000"}
-	for _, n := range []int{100, 300, 1000} {
-		agg := cfg.collect(job.Job{Protocol: spec, Params: job.Params{N: n, B: 5}},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(counting.UpperBoundOutcome)
-				return runner.Trial{
-					Flags:  map[string]bool{"success": out.Success},
-					Values: map[string]float64{"r0_over_n": out.Estimate}}
-			})
-		r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("n=%d", n),
-			Params: map[string]int{"n": n, "b": 5}, Agg: agg})
-	}
-	return r
-}
-
-func e2(cfg config, spec string) Report {
-	r := Report{ID: "E2", Title: "Remark 1: counting time = O(n^2 log n)",
-		Note: "log-log slope 2 plus log factor"}
-	var xs, ys []float64
-	for _, n := range []int{50, 100, 200, 400} {
-		agg := cfg.collect(job.Job{Protocol: spec, Params: job.Params{N: n, B: 4}},
-			func(job.Result) runner.Trial { return runner.Trial{} })
-		xs = append(xs, float64(n))
-		ys = append(ys, agg.Steps.Mean)
-		r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("n=%d", n),
-			Params: map[string]int{"n": n, "b": 4}, Agg: agg})
-	}
-	if slope, err := stats.LogLogSlope(xs, ys); err == nil {
-		r.Derived = map[string]float64{"loglog_slope": slope}
-	}
-	return r
-}
-
-func e3(cfg config, spec string) Report {
-	r := Report{ID: "E3", Title: "Theorem 2: simple UID counting, E[time] = Theta(n^b)",
-		Note: "exact count w.h.p.; expected steps grow like b(n-1)^b"}
-	for _, c := range []struct{ n, b int }{{6, 2}, {6, 3}, {8, 2}} {
-		agg := cfg.collect(job.Job{Protocol: spec, Params: job.Params{N: c.n, B: c.b},
-			MaxSteps: 500_000_000},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(counting.SimpleUIDOutcome)
-				return runner.Trial{Flags: map[string]bool{"exact": out.Exact}}
-			})
-		r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("n=%d b=%d", c.n, c.b),
-			Params: map[string]int{"n": c.n, "b": c.b}, Agg: agg})
-	}
-	return r
-}
-
-func e4(cfg config, spec string) Report {
-	r := Report{ID: "E4", Title: "Theorem 3: UID counting (Protocol 3, b=4)",
-		Note: "max id wins and 2*count1 >= n w.h.p."}
-	for _, n := range []int{50, 200} {
-		agg := cfg.collect(job.Job{Protocol: spec, Params: job.Params{N: n, B: 4}},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(counting.UIDOutcome)
-				return runner.Trial{
-					Flags: map[string]bool{"winner_is_max": out.WinnerIsMax, "success": out.Success}}
-			})
-		r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("n=%d", n),
-			Params: map[string]int{"n": n, "b": 4}, Agg: agg})
-	}
-	return r
-}
-
-func e7(cfg config, spec string) Report {
-	r := Report{ID: "E7", Title: "Lemma 1: Counting-on-a-Line (b=3)",
-		Note: "r0 >= n/2; tape length floor(lg r0)+1; debt repaid at halt"}
-	for _, n := range []int{16, 32} {
-		agg := cfg.collect(job.Job{Protocol: spec, Params: job.Params{N: n, B: 3},
-			MaxSteps: 200_000_000},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(core.CountLineOutcome)
-				return runner.Trial{Flags: map[string]bool{
-					"success":     out.Success,
-					"length_ok":   out.LineLength == core.ExpectedLineLength(out.R0),
-					"debt_repaid": out.DebtRepaid,
-				}}
-			})
-		r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("n=%d", n),
-			Params: map[string]int{"n": n, "b": 3}, Agg: agg})
-	}
-	return r
-}
-
-func e8(cfg config, spec string) Report {
-	r := Report{ID: "E8", Title: "Lemma 2: Square-Knowing-n (n = d^2 exactly)",
-		Note: "terminates with the exact d x d square"}
-	for _, d := range []int{3, 4} {
-		agg := cfg.collect(job.Job{Protocol: spec, Params: job.Params{N: d * d, D: d},
-			MaxSteps: 500_000_000},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(core.SquareKnowingNOutcome)
-				return runner.Trial{Flags: map[string]bool{"square": out.Halted && out.Square}}
-			})
-		r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("d=%d", d),
-			Params: map[string]int{"d": d, "n": d * d}, Agg: agg})
-	}
-	return r
-}
-
-func e9(cfg config, spec string) Report {
-	r := Report{ID: "E9", Title: "Theorem 4: universal constructor, waste <= (d-1)d"}
-	for _, name := range []string{"star", "cross", "bottom-row"} {
-		for _, d := range []int{6, 10} {
-			bound := (d - 1) * d
-			agg := cfg.collect(job.Job{Protocol: spec, Params: job.Params{Lang: name, D: d},
-				MaxSteps: 500_000_000},
-				func(res job.Result) runner.Trial {
-					out := res.Payload.(core.UniversalOutcome)
-					t := runner.Trial{Flags: map[string]bool{
-						"match":    out.Match,
-						"waste_ok": out.Match && out.Waste <= bound,
-					}}
-					if out.Match { // waste is undefined on unconverged trials
-						t.Values = map[string]float64{"waste": float64(out.Waste)}
-					}
-					return t
-				})
-			r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("%s d=%d", name, d),
-				Params: map[string]int{"d": d, "bound": bound}, Agg: agg})
-		}
-	}
-	return r
-}
-
-func e10(cfg config, spec string) Report {
-	r := Report{ID: "E10", Title: "Theorem 5: parallel simulations on 3D columns (k=3)"}
-	for _, d := range []int{3, 4} {
-		agg := cfg.collect(job.Job{Protocol: spec, Params: job.Params{Lang: "star", D: d, K: 3},
-			MaxSteps: 300_000_000},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(core.Parallel3DOutcome)
-				return runner.Trial{
-					Flags: map[string]bool{"decided": out.Decided, "correct": out.Correct}}
-			})
-		r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("d=%d", d),
-			Params: map[string]int{"d": d, "k": 3}, Agg: agg})
-	}
-	return r
-}
-
-// e11 measures the Theorem 5 speed-vs-k trade-off: the memory column
-// height k buys each pixel's TM more tape but costs the constructor more
-// assembly work per column (k-1 free nodes recruited, bonded and walked
-// per pixel), so total steps to an all-pixels decision grow with k at
-// fixed d. The derived ratio pins how steep that price is across the
-// measured range.
-func e11(cfg config, spec string) Report {
-	r := Report{ID: "E11", Title: "Theorem 5 trade-off: decision time vs memory column height k",
-		Note: "taller columns = more per-pixel tape, paid for in assembly steps"}
-	const d = 3
-	means := map[int]float64{}
-	ks := []int{2, 3, 4, 5}
-	for _, k := range ks {
-		agg := cfg.collect(job.Job{Protocol: spec, Params: job.Params{Lang: "star", D: d, K: k},
-			MaxSteps: 300_000_000},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(core.Parallel3DOutcome)
-				return runner.Trial{
-					Flags: map[string]bool{"decided": out.Decided, "correct": out.Correct}}
-			})
-		means[k] = agg.Steps.Mean
-		r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("k=%d", k),
-			Params: map[string]int{"d": d, "k": k}, Agg: agg})
-	}
-	first, last := ks[0], ks[len(ks)-1]
-	if means[first] > 0 {
-		r.Derived = map[string]float64{
-			fmt.Sprintf("steps_k%d_over_k%d", last, first): means[last] / means[first],
-		}
-	}
-	return r
-}
-
-func e12(cfg config, spec string) Report {
-	r := Report{ID: "E12", Title: "Section 7: shape self-replication (free = 2|R_G|-|G|)"}
-	for _, tc := range []struct {
-		name string
-		g    *grid.Shape
-	}{
-		{"line3", grid.ShapeOf(grid.Pos{}, grid.Pos{X: 1}, grid.Pos{X: 2})},
-		{"lshape", grid.ShapeOf(grid.Pos{}, grid.Pos{X: 1}, grid.Pos{X: 2}, grid.Pos{Y: 1})},
-	} {
-		g := tc.g
-		free := 2*g.EnclosingRect().Size() - g.Size()
-		agg := cfg.collect(job.Job{Protocol: spec, Params: job.Params{Shape: g, Free: free},
-			MaxSteps: 500_000_000},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(core.ReplicationOutcome)
-				return runner.Trial{Flags: map[string]bool{"two_copies": out.Copies == 2}}
-			})
-		r.Rows = append(r.Rows, Row{Label: tc.name,
-			Params: map[string]int{"size": g.Size(), "rect": g.EnclosingRect().Size(), "free": free},
-			Agg:    agg})
-	}
-	return r
-}
-
-func e13(cfg config, spec string) Report {
-	r := Report{ID: "E13", Title: "Conjecture 1 evidence: leaderless early termination",
-		Note: "stays constant as n grows => leaderless counting impossible"}
-	for _, n := range []int{20, 100, 500} {
-		agg := cfg.collect(job.Job{Protocol: spec, Params: job.Params{N: n},
-			MaxSteps: int64(50 * n)},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(counting.LeaderlessOutcome)
-				return runner.Trial{Flags: map[string]bool{"early": out.EarlyTermination}}
-			})
-		r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("n=%d", n),
-			Params: map[string]int{"n": n}, Agg: agg})
-	}
-	return r
-}
-
-func e14(cfg config, spec string) Report {
-	r := Report{ID: "E14", Title: "Urn engine: Counting-Upper-Bound at scale (b=5, n up to 10^6)",
-		Note: "same law as E1/E2 on the urn-compressed scheduler; slope ~2 plus log factor"}
-	var xs, ys []float64
-	for _, n := range []int{10_000, 100_000, 1_000_000} {
-		agg := cfg.collect(job.Job{Protocol: spec, Engine: job.EngineUrn,
-			Params: job.Params{N: n, B: 5}},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(counting.UpperBoundOutcome)
-				return runner.Trial{
-					Flags:  map[string]bool{"success": out.Success},
-					Values: map[string]float64{"r0_over_n": out.Estimate}}
-			})
-		xs = append(xs, float64(n))
-		ys = append(ys, agg.Steps.Mean)
-		r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("n=%d", n),
-			Params: map[string]int{"n": n, "b": 5}, Agg: agg})
-	}
-	if slope, err := stats.LogLogSlope(xs, ys); err == nil {
-		r.Derived = map[string]float64{"loglog_slope": slope}
-	}
-	return r
-}
-
-// e15 measures the urn engine in the regime the alias sampler and the
-// batched step loop were built for: single Counting-Upper-Bound runs at
-// n = 10^6, 10^7 and 10^8. The trial count scales down with n (one trial
-// of n = 10^8 simulates ~10^17 scheduler steps), so the report stays
-// runnable with the default -trials; the log-log slope over the three
-// sizes pins the Theta(n^2 log n) law two decades beyond E14. Wall-clock
-// numbers deliberately stay out of the report (they would break its
-// byte-determinism) — see BENCH_urn_scaling.json for those.
-func e15(cfg config, spec string) Report {
-	r := Report{ID: "E15", Title: "Urn engine at scale: alias sampler + batched blocks, n up to 10^8",
-		Note: "same law as E14, two decades further; slope ~2 plus log factor"}
-	var xs, ys []float64
-	for _, c := range []struct{ n, div int }{
-		{1_000_000, 1}, {10_000_000, 10}, {100_000_000, 20},
-	} {
-		sub := cfg
-		if sub.trials = cfg.trials / c.div; sub.trials < 1 {
-			sub.trials = 1
-		}
-		agg := sub.collect(job.Job{Protocol: spec, Engine: job.EngineUrn,
-			Params: job.Params{N: c.n, B: 5}},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(counting.UpperBoundOutcome)
-				return runner.Trial{
-					Flags:  map[string]bool{"success": out.Success},
-					Values: map[string]float64{"r0_over_n": out.Estimate}}
-			})
-		xs = append(xs, float64(c.n))
-		ys = append(ys, agg.Steps.Mean)
-		r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("n=%.0e", float64(c.n)),
-			Params: map[string]int{"n": c.n, "b": 5, "trials": sub.trials}, Agg: agg})
-	}
-	if slope, err := stats.LogLogSlope(xs, ys); err == nil {
-		r.Derived = map[string]float64{"loglog_slope": slope}
-	}
-	return r
-}
-
-// e16 measures which of Theorem 1's guarantees survive unfair schedulers.
-// Counting-Upper-Bound's halting argument needs every *pair* to keep
-// getting scheduled, not that pairs are uniform: weighted and clustered
-// biases (pair-fair, just skewed) inflate steps but never break halting or
-// r0 >= n/2. The adversarial-delay rows probe the boundary. Starving the
-// leader alone is still pair-fair — forced service pairs it with an
-// arbitrary partner every fairness_bound steps, so the census merely slows
-// by roughly bound/(n/2). Starving a 25% prefix is not: forced service
-// always picks a non-starved partner, so leader-to-starved pairs never
-// fire, the census is unfinishable, and halted stays 0 for any budget —
-// weak (agent-level) fairness alone does not carry Theorem 1.
-func e16(cfg config, spec string) Report {
-	r := Report{ID: "E16", Title: "Termination under unfair schedulers (n=100, b=5)",
-		Note: "pair-fair unfairness costs steps only; agent-level fairness alone breaks halting"}
-	const n = 100
-	for _, c := range []struct {
-		label  string
-		fault  *sched.Profile
-		params map[string]int
-	}{
-		{"uniform", nil, map[string]int{"n": n, "b": 5}},
-		{"weighted 1:8", &sched.Profile{Scheduler: sched.KindWeighted,
-			Rates: []int64{1, 8}}, map[string]int{"n": n, "b": 5}},
-		{"clustered", &sched.Profile{Scheduler: sched.KindClustered,
-			BlockSize: 32, BiasPct: 90}, map[string]int{"n": n, "b": 5, "block": 32, "bias_pct": 90}},
-		{"starve leader", &sched.Profile{Scheduler: sched.KindAdversarialDelay,
-			StarvePct: 1, FairnessBound: 4096},
-			map[string]int{"n": n, "b": 5, "starve_pct": 1, "fairness_bound": 4096}},
-		{"starve 25%", &sched.Profile{Scheduler: sched.KindAdversarialDelay,
-			StarvePct: 25, FairnessBound: 4096},
-			map[string]int{"n": n, "b": 5, "starve_pct": 25, "fairness_bound": 4096}},
-	} {
-		agg := cfg.collect(job.Job{Protocol: spec,
-			Params: job.Params{N: n, B: 5, Fault: c.fault}, MaxSteps: 20_000_000},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(counting.UpperBoundOutcome)
-				return runner.Trial{
-					Flags:  map[string]bool{"halted": res.Halted, "success": out.Success},
-					Values: map[string]float64{"r0_over_n": out.Estimate}}
-			})
-		r.Rows = append(r.Rows, Row{Label: c.label, Params: c.params, Agg: agg})
-	}
-	return r
-}
-
-// e17 finds the crash rate at which Theorem 1 breaks. Crash-stop faults on
-// the urn engine at n = 10^4: agents crash every `gap` simulated steps
-// until at most one survives. The failure mode is harsher than a stale
-// count: the leader's census must revisit every marked agent each epoch,
-// so a single crashed marked agent strands the census and the run never
-// halts. Success therefore decays like the probability of zero damaging
-// crashes within the Theta(n^2 log n) counting time (~6.6e8 steps here),
-// and the sweep brackets that time from a decade above to a decade below.
-func e17(cfg config, spec string) Report {
-	r := Report{ID: "E17", Title: "Crash-stop vs Theorem 1: where r0 >= n/2 breaks (urn, n=10^4)",
-		Note: "reliable population is load-bearing: one crashed marked agent strands the census"}
-	const n = 10_000
-	mk := func(res job.Result) runner.Trial {
-		out := res.Payload.(counting.UpperBoundOutcome)
-		return runner.Trial{
-			Flags:  map[string]bool{"halted": res.Halted, "success": out.Success},
-			Values: map[string]float64{"r0_over_n": out.Estimate}}
-	}
-	agg := cfg.collect(job.Job{Protocol: spec, Engine: job.EngineUrn,
-		Params: job.Params{N: n, B: 5}, MaxSteps: 2_000_000_000}, mk)
-	r.Rows = append(r.Rows, Row{Label: "no faults",
-		Params: map[string]int{"n": n, "b": 5}, Agg: agg})
-	for _, gap := range []int64{10_000_000_000, 3_000_000_000, 1_000_000_000, 300_000_000, 100_000_000} {
-		agg := cfg.collect(job.Job{Protocol: spec, Engine: job.EngineUrn,
-			Params: job.Params{N: n, B: 5, Fault: &sched.Profile{
-				CrashEvery: gap, MaxCrashes: n - 1,
-			}}, MaxSteps: 2_000_000_000}, mk)
-		r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("gap=%.0e", float64(gap)),
-			Params: map[string]int{"n": n, "b": 5}, Agg: agg})
-	}
-	return r
-}
-
-// e18 replaces sampling with proof at small n: the check engine explores
-// the full symmetry-reduced configuration space of Counting-Upper-Bound,
-// so "halts" and "all_correct" hold for *every* fair execution, not for
-// 20 sampled seeds. One trial per row — exhaustive exploration is
-// seed-free and deterministic, extra seeds would re-prove the same fact.
-// max_depth pins the exact worst-case interaction count, 2n-1-b.
-func e18(cfg config, spec string) Report {
-	r := Report{ID: "E18", Title: "Exact verification: Counting-Upper-Bound halts everywhere (check, n<=8)",
-		Note: "exhaustive over the multiset configuration space; worst case = 2n-1-b interactions"}
-	sub := cfg
-	sub.trials = 1
-	for n := 2; n <= 8; n++ {
-		agg := sub.collect(job.Job{Protocol: spec, Engine: job.EngineCheck,
-			Params: job.Params{N: n, B: 5}},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(counting.UpperBoundCheckOutcome)
-				return runner.Trial{
-					Flags: map[string]bool{"halts": out.Complete && out.Halts,
-						"all_correct": out.AllCorrect, "depth_bounded": out.DepthBounded},
-					Values: map[string]float64{"configs": float64(out.Configs),
-						"max_depth": float64(out.MaxDepth)}}
-			})
-		r.Rows = append(r.Rows, Row{Label: fmt.Sprintf("n=%d", n),
-			Params: map[string]int{"n": n, "b": 5}, Agg: agg})
-	}
-	return r
-}
-
-// e19 upgrades E16's starved-prefix observation to a proof. The check
-// engine runs the adversarial-delay profile in veto form — starved-to-
-// starved pairs never fire, every other schedule is explored — so at n=8
-// the 25% row (leader plus one counted agent starved) provably reaches a
-// frozen configuration with no enabled transition: E16's "halted stays 0"
-// is not a budget artifact, no fair completion exists. Starving the
-// leader alone stays pair-fair and halting survives, exactly as the
-// Theorem 1 argument predicts.
-func e19(cfg config, spec string) Report {
-	r := Report{ID: "E19", Title: "Exact confirmation of E16: starved prefix has no fair completion (check, n=8)",
-		Note: "agent-level fairness alone breaks Theorem 1 — now theorem-grade, not statistical"}
-	const n = 8
-	sub := cfg
-	sub.trials = 1
-	for _, c := range []struct {
-		label  string
-		fault  *sched.Profile
-		params map[string]int
-	}{
-		{"uniform", nil, map[string]int{"n": n, "b": 5}},
-		{"starve leader", &sched.Profile{Scheduler: sched.KindAdversarialDelay,
-			StarvePct: 1, FairnessBound: 4096},
-			map[string]int{"n": n, "b": 5, "starve_pct": 1}},
-		{"starve 25%", &sched.Profile{Scheduler: sched.KindAdversarialDelay,
-			StarvePct: 25, FairnessBound: 4096},
-			map[string]int{"n": n, "b": 5, "starve_pct": 25}},
-	} {
-		agg := sub.collect(job.Job{Protocol: spec, Engine: job.EngineCheck,
-			Params: job.Params{N: n, B: 5, Fault: c.fault}},
-			func(res job.Result) runner.Trial {
-				out := res.Payload.(counting.UpperBoundCheckOutcome)
-				frozen := out.Witness != nil && out.Witness.Kind == check.WitnessFrozen
-				return runner.Trial{
-					Flags: map[string]bool{"halts": out.Complete && out.Halts,
-						"frozen_witness": frozen},
-					Values: map[string]float64{"configs": float64(out.Configs)}}
-			})
-		r.Rows = append(r.Rows, Row{Label: c.label, Params: c.params, Agg: agg})
-	}
-	return r
 }
 
 func renderFigures() {

@@ -47,7 +47,15 @@ func main() {
 		float64(res.Steps), urn.Estimate)
 
 	fmt.Println("\ncounting on a line (geometric model, n = 24):")
-	out := shapesol.CountOnLine(24, 3, 7)
+	res, err = shapesol.Run(ctx, shapesol.Job{
+		Protocol: "count-line",
+		Params:   shapesol.Params{N: 24, B: 3},
+		Seed:     7,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	out := res.Payload.(shapesol.CountLineOutcome)
 	fmt.Printf("  halted=%v r0=%d stored on a line of %d cells (floor(lg r0)+1 = %d), debt repaid=%v\n",
 		out.Halted, out.R0, out.LineLength, out.LineLength, out.DebtRepaid)
 }

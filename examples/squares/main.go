@@ -36,7 +36,16 @@ func main() {
 
 	// The terminating construction, with the default 300M step budget
 	// overridden the same way any registry job can be.
-	out := shapesol.BuildSquare(16, 4, 4, shapesol.WithBudget(100_000_000))
+	res, err := shapesol.Run(context.Background(), shapesol.Job{
+		Protocol: "square-knowing-n",
+		Params:   shapesol.Params{N: 16, D: 4},
+		Seed:     4,
+		MaxSteps: 100_000_000,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	out := res.Payload.(shapesol.SquareOutcome)
 	fmt.Printf("\nSquare-Knowing-n, d=4 on exactly 16 nodes: halted=%v exact square=%v (steps %d)\n",
 		out.Halted, out.Square, out.Steps)
 }

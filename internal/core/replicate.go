@@ -213,9 +213,10 @@ func (p Replicator) oriented(a, b rpState, pa, pb grid.Dir, bonded, sameComp boo
 	}
 
 	// --- Squaring rules (run throughout) --------------------------------
-	if bothCells && !bonded && sameComp && !a.Cleanup && !b.Cleanup {
+	if bothCells && !bonded && sameComp && !a.Cleanup && !b.Cleanup && a.RepSide == b.RepSide {
 		// Facing unbonded neighbors inside the same rigid component bond
-		// (latent activation); two separate bodies never glue here.
+		// (latent activation); two separate bodies never glue here, and
+		// neither do the two sides of a seam the leader has begun to cut.
 		da, db := compassOf(a, pa), compassOf(b, pb)
 		a.Bonded[da] = true
 		a.Wanted[da] = false
@@ -429,6 +430,10 @@ func (p Replicator) token(a, b rpState, pa grid.Dir, movable bool) (rpState, rpS
 				b.T = rpToken{Phase: rpDone}
 				return a, b, false, true
 			}
+			// Until the last cut the halves are one rigid component; the
+			// replica-side mark keeps latent activation from re-bonding
+			// this cut pair before the split.
+			b.RepSide = true
 			return a, b, false, true
 		}
 		if !a.Bonded[cE] && a.Bonded[cS] && compassOf(a, pa) == cS {

@@ -65,3 +65,35 @@ func TestReplicationSingleCell(t *testing.T) {
 		t.Fatalf("%+v", out)
 	}
 }
+
+// TestReplicationTwoExactCopies runs each small shape over a block of
+// seeds with the paper's free count, 2|R_G|-|G|: every run must finish
+// with two exact copies. The leader cuts the seam top-down while both
+// halves are still one rigid component, so a latent activation that
+// re-bonded a cut seam pair let the original side's cleanup wave cross
+// into the replica and shed one of its cells.
+func TestReplicationTwoExactCopies(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		g    *grid.Shape
+	}{
+		{"square2x2", grid.ShapeOf(grid.Pos{}, grid.Pos{X: 1}, grid.Pos{Y: 1}, grid.Pos{X: 1, Y: 1})},
+		{"l3", grid.ShapeOf(grid.Pos{}, grid.Pos{X: 1}, grid.Pos{X: 1, Y: 1})},
+		{"l4", lShape()},
+		{"bar3", grid.ShapeOf(grid.Pos{}, grid.Pos{X: 1}, grid.Pos{X: 2})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			free := 2*tc.g.EnclosingRect().Size() - tc.g.Size()
+			for seed := int64(0); seed < 20; seed++ {
+				w, err := NewReplicationWorld(tc.g, free, seed, 500_000_000, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				out := ReplicationOutcomeOf(context.Background(), tc.g, w, w.Run())
+				if !out.Done || out.Copies != 2 {
+					t.Fatalf("seed %d: %+v, want done with 2 copies", seed, out)
+				}
+			}
+		})
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"strings"
 	"testing"
+	"time"
 
 	"shapesol/internal/core"
 	"shapesol/internal/counting"
@@ -209,6 +210,41 @@ func TestRunCancelStopsUrnAtScale(t *testing.T) {
 	out := res.Payload.(counting.UpperBoundOutcome)
 	if out.R0 != 0 {
 		t.Fatalf("r0 = %d, want 0 (payload of an unconverged run)", out.R0)
+	}
+}
+
+// TestRunCancelStopsChurnedUrn: under a fault clock the urn ends a block at
+// every fault event, so with an arrival on every step a block can end with
+// no effective interaction, and a cancel polled only on the effective
+// cadence may never be seen. A deadline must stop the run within a second.
+func TestRunCancelStopsChurnedUrn(t *testing.T) {
+	const deadline = time.Second
+	ctx, cancel := context.WithTimeout(context.Background(), deadline)
+	defer cancel()
+	type outcome struct {
+		res Result
+		err error
+	}
+	done := make(chan outcome, 1)
+	go func() {
+		res, err := Run(ctx, Job{
+			Protocol: "counting-upper-bound",
+			Engine:   EngineUrn,
+			Params:   Params{N: 1000, Fault: &sched.Profile{ArriveEvery: 1}},
+			Seed:     1,
+		})
+		done <- outcome{res, err}
+	}()
+	select {
+	case o := <-done:
+		if o.err != nil {
+			t.Fatal(o.err)
+		}
+		if o.res.Reason != ReasonCanceled {
+			t.Fatalf("reason = %q, want %q", o.res.Reason, ReasonCanceled)
+		}
+	case <-time.After(deadline + time.Second):
+		t.Fatal("Run did not return within a second of its deadline")
 	}
 }
 

@@ -52,7 +52,8 @@ type Options struct {
 	// CheckEvery is the cadence (in scheduler steps) of the RunContext
 	// cancellation check and the Progress callback. The urn engine applies
 	// the same cadence to effective interactions instead, since its skipped
-	// steps cost no work. Defaults to 256.
+	// steps cost no work, and checks cancellation after every block.
+	// Defaults to 256.
 	CheckEvery int64
 	// Progress, when non-nil, is invoked by Run every CheckEvery steps with
 	// the current (simulated) step count. It must not mutate the world.

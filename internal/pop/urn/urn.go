@@ -823,12 +823,13 @@ func (w *World[S]) Run() Result {
 }
 
 // RunContext is Run under a cancelable context. Cancellation is observed
-// every Options.CheckEvery *effective* interactions — skipped ineffective
-// runs cost no work, so the exact scheduler's step-count cadence would be
-// meaningless here — and stops the run with pop.ReasonCanceled. The
-// Progress callback fires on the same cadence with the simulated step
-// count. Effective interactions run in blocks aligned to the CheckEvery
-// cadence, so a check or progress point always falls on a block boundary.
+// after every block and stops the run with pop.ReasonCanceled. The
+// Progress callback and the metrics fire every Options.CheckEvery
+// *effective* interactions with the simulated step count — skipped
+// ineffective runs cost no work, so the exact scheduler's step-count
+// cadence would be meaningless here. Effective interactions run in blocks
+// aligned to the CheckEvery cadence, so a progress point always falls on
+// a block boundary.
 func (w *World[S]) RunContext(ctx context.Context) Result {
 	if ctx.Err() != nil {
 		return w.result(pop.ReasonCanceled)
@@ -854,10 +855,13 @@ func (w *World[S]) RunContext(ctx context.Context) Result {
 		if exhausted {
 			break
 		}
+		// Polled on every block, not on the effective cadence: a fault
+		// clock caps blocks at its events, so a churned run can go
+		// arbitrarily long between effective interactions.
+		if ctx.Err() != nil {
+			return w.result(pop.ReasonCanceled)
+		}
 		if w.effective%w.opts.CheckEvery == 0 {
-			if ctx.Err() != nil {
-				return w.result(pop.ReasonCanceled)
-			}
 			w.publishMetrics()
 			if w.opts.Progress != nil {
 				w.opts.Progress(w.steps)

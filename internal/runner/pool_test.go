@@ -58,15 +58,12 @@ func TestPoolQueueFull(t *testing.T) {
 	pool.Close()
 }
 
-// TestPoolClosedRejects checks both submission paths after Close.
+// TestPoolClosedRejects checks submission after Close.
 func TestPoolClosedRejects(t *testing.T) {
 	pool := NewPool(1, 1)
 	pool.Close()
 	if err := pool.TrySubmit(func() {}); !errors.Is(err, ErrPoolClosed) {
 		t.Fatalf("TrySubmit after Close = %v, want ErrPoolClosed", err)
-	}
-	if err := pool.Submit(func() {}); !errors.Is(err, ErrPoolClosed) {
-		t.Fatalf("Submit after Close = %v, want ErrPoolClosed", err)
 	}
 	pool.Close() // idempotent
 }
@@ -87,28 +84,5 @@ func TestPoolCloseDrains(t *testing.T) {
 	pool.Close()
 	if got := done.Load(); got != 8 {
 		t.Fatalf("Close returned with %d/8 tasks done", got)
-	}
-}
-
-// TestPoolSubmitBlocksThenRuns: Submit on a full queue waits for a slot
-// instead of failing.
-func TestPoolSubmitBlocksThenRuns(t *testing.T) {
-	pool := NewPool(1, 0)
-	release := make(chan struct{})
-	if err := pool.Submit(func() { <-release }); err != nil {
-		t.Fatal(err)
-	}
-	submitted := make(chan error, 1)
-	var ran atomic.Bool
-	go func() {
-		submitted <- pool.Submit(func() { ran.Store(true) })
-	}()
-	close(release)
-	if err := <-submitted; err != nil {
-		t.Fatal(err)
-	}
-	pool.Close()
-	if !ran.Load() {
-		t.Fatal("blocked Submit's task never ran")
 	}
 }

@@ -41,19 +41,21 @@ func Workers(requested int) int {
 }
 
 // Pool errors. ErrQueueFull is the backpressure signal of TrySubmit — the
-// caller decides whether to block (Submit), retry, or reject upstream
-// (the job service answers it with 503).
+// caller decides whether to retry or reject upstream (the job service
+// answers it with 503).
 var (
 	ErrQueueFull  = errors.New("runner: queue full")
 	ErrPoolClosed = errors.New("runner: pool closed")
 )
 
-// Pool is a fixed set of workers draining a bounded task queue. It is the
-// executor behind Map/RunMany (batch: submit everything, Wait) and behind
-// the job service (streaming: TrySubmit with backpressure, Close to
-// drain). Tasks start in submission order; with more than one worker,
-// completion order is up to the scheduler, so tasks that need ordered
-// results must write into per-task slots the way Map does.
+// Pool is a fixed set of workers draining a bounded task queue. Tasks
+// enter only through TrySubmit, which never blocks. It is the executor
+// behind Map/RunMany (batch: a queue that holds the whole batch, then
+// Close) and behind the job service (streaming: TrySubmit with
+// backpressure, Close to drain). Tasks start in submission order; with
+// more than one worker, completion order is up to the scheduler, so tasks
+// that need ordered results must write into per-task slots the way Map
+// does.
 type Pool struct {
 	tasks   chan func()
 	wg      sync.WaitGroup
@@ -61,9 +63,8 @@ type Pool struct {
 	busy    atomic.Int64
 
 	// mu guards closed and fences submissions against close(tasks):
-	// submitters hold it shared (a blocked Submit parks on the channel
-	// send, not the lock, so TrySubmit stays non-blocking alongside it),
-	// Close takes it exclusively — by which point no send is in flight.
+	// submitters hold it shared, Close takes it exclusively — by which
+	// point no send is in flight.
 	mu     sync.RWMutex
 	closed bool
 }
@@ -120,20 +121,6 @@ func (p *Pool) TrySubmit(task func()) error {
 	default:
 		return ErrQueueFull
 	}
-}
-
-// Submit enqueues task, blocking while the queue is full (concurrent
-// TrySubmits are not held up by it). It returns ErrPoolClosed after
-// Close; a Close racing a blocked Submit waits for the workers to free a
-// slot and accept the task first.
-func (p *Pool) Submit(task func()) error {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	if p.closed {
-		return ErrPoolClosed
-	}
-	p.tasks <- task
-	return nil
 }
 
 // Close stops accepting tasks and blocks until every queued and running
@@ -215,12 +202,6 @@ type Trial struct {
 	Steps  int64              `json:"steps"`
 	Flags  map[string]bool    `json:"flags,omitempty"`
 	Values map[string]float64 `json:"values,omitempty"`
-}
-
-// Run executes fn for every seed across the pool and returns the trials in
-// seed order. It is Map specialized to the Trial measurement type.
-func Run(workers int, seeds []int64, fn func(seed int64) Trial) []Trial {
-	return Map(workers, seeds, fn)
 }
 
 // Aggregate summarizes a trial set: step statistics, one Wilson rate per

@@ -57,7 +57,7 @@ func TestSummarizeDeterministicAcrossWorkerCounts(t *testing.T) {
 	seeds := Seeds(1, 97) // odd count to leave a ragged tail per worker
 	var want []byte
 	for _, workers := range []int{1, 2, 3, 8, 32} {
-		agg := Summarize(Run(workers, seeds, fakeTrial))
+		agg := Summarize(Map(workers, seeds, fakeTrial))
 		got, err := json.Marshal(agg)
 		if err != nil {
 			t.Fatal(err)
@@ -87,8 +87,8 @@ func TestRealWorkloadDeterministic(t *testing.T) {
 		}
 	}
 	seeds := Seeds(0, 20)
-	serial := Summarize(Run(1, seeds, run))
-	parallel := Summarize(Run(8, seeds, run))
+	serial := Summarize(Map(1, seeds, run))
+	parallel := Summarize(Map(8, seeds, run))
 	if !reflect.DeepEqual(serial, parallel) {
 		t.Fatalf("aggregates differ:\nserial   %+v\nparallel %+v", serial, parallel)
 	}

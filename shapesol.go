@@ -29,23 +29,21 @@
 //   - internal/snap — the versioned, checksummed snapshot container
 //     behind checkpointable runs and Resume;
 //   - internal/runner — the parallel multi-seed trial executor behind
-//     cmd/experiments.
+//     the experiment registry of internal/experiments.
 //
-// The unified API is Run: build a Job naming a registered protocol, its
-// typed parameters, a seed and optionally an engine, budget or progress
-// callback, and receive a Result envelope. The convenience wrappers
-// (Count, CountOnLine, BuildSquare, Construct, Replicate, Stabilize) are
-// thin jobs with the protocol name and parameter mapping filled in; all
-// of them accept the same Option overrides.
+// The API is Run: build a Job naming a registered protocol, its typed
+// parameters, a seed and optionally an engine, budget or progress
+// callback, and receive a Result envelope whose Payload is one of the
+// outcome types aliased below. Resume continues a frozen run.
 //
 // See DESIGN.md for the system inventory and design decisions; the
 // paper-versus-measured record behind every theorem and figure is
-// regenerated by cmd/experiments (and the benchmarks of bench_test.go).
+// declared in internal/experiments and regenerated by cmd/experiments
+// into EXPERIMENTS.json.
 package shapesol
 
 import (
 	"context"
-	"fmt"
 
 	"shapesol/internal/core"
 	"shapesol/internal/counting"
@@ -104,52 +102,6 @@ func Resume(ctx context.Context, s *Snapshot) (Result, error) {
 // Protocols returns the registered protocol names.
 func Protocols() []string { return job.Names() }
 
-// Option overrides one aspect of a convenience-wrapper run. Every wrapper
-// accepts the same options, so budgets and engines are tuned uniformly
-// instead of through per-function magic numbers. An option that makes the
-// job invalid (an unsupported engine, a negative budget) is reported
-// through the wrapper's error return where it has one; the single-return
-// wrappers (Count, CountOnLine, BuildSquare) panic on it, like any other
-// programmer misuse. Use Run directly for fully error-checked execution.
-type Option func(*job.Job)
-
-// WithBudget overrides the protocol's default step budget.
-func WithBudget(maxSteps int64) Option {
-	return func(j *job.Job) { j.MaxSteps = maxSteps }
-}
-
-// WithEngine overrides the protocol's default engine.
-func WithEngine(e Engine) Option {
-	return func(j *job.Job) { j.Engine = e }
-}
-
-// WithProgress installs a progress callback, invoked on the engine's
-// check cadence with the current step count.
-func WithProgress(fn func(steps int64)) Option {
-	return func(j *job.Job) { j.Progress = fn }
-}
-
-// run executes a wrapper job. The single-return wrappers (Count,
-// CountOnLine, BuildSquare) panic on an invalid job — which with valid
-// positional arguments can only come from misused options, e.g.
-// WithEngine on a protocol that does not support it or WithBudget with a
-// negative budget; that contract is documented on Option. The
-// error-returning wrappers propagate instead.
-func run(j job.Job, opts []Option) job.Result {
-	res, err := runE(j, opts)
-	if err != nil {
-		panic(fmt.Sprintf("shapesol: %v", err))
-	}
-	return res
-}
-
-func runE(j job.Job, opts []Option) (job.Result, error) {
-	for _, opt := range opts {
-		opt(&j)
-	}
-	return job.Run(context.Background(), j)
-}
-
 // The payload types of every registered protocol, aliased so that
 // Result.Payload can be type-asserted without importing internal
 // packages.
@@ -179,29 +131,6 @@ type (
 	StabilizeOutcome = core.StabilizeOutcome
 )
 
-// Count runs Counting-Upper-Bound on n agents with head start b. Use
-// WithEngine(EngineUrn) for populations beyond the exact scheduler's
-// reach.
-func Count(n, b int, seed int64, opts ...Option) CountOutcome {
-	res := run(Job{Protocol: "counting-upper-bound", Params: Params{N: n, B: b}, Seed: seed}, opts)
-	return res.Payload.(CountOutcome)
-}
-
-// CountOnLine runs the geometric Counting-on-a-Line protocol (Lemma 1):
-// the count is assembled in binary on a self-built line of length
-// floor(lg R0)+1.
-func CountOnLine(n, b int, seed int64, opts ...Option) CountLineOutcome {
-	res := run(Job{Protocol: "count-line", Params: Params{N: n, B: b}, Seed: seed}, opts)
-	return res.Payload.(CountLineOutcome)
-}
-
-// BuildSquare runs the terminating Square-Knowing-n construction (Lemma 2)
-// for side length d on n >= d*d nodes.
-func BuildSquare(n, d int, seed int64, opts ...Option) SquareOutcome {
-	res := run(Job{Protocol: "square-knowing-n", Params: Params{N: n, D: d}, Seed: seed}, opts)
-	return res.Payload.(SquareOutcome)
-}
-
 // Languages lists the built-in shape languages (Definition 3).
 func Languages() []string {
 	names := make([]string, 0, len(shapes.All()))
@@ -209,45 +138,6 @@ func Languages() []string {
 		names = append(names, l.Name())
 	}
 	return names
-}
-
-// Construct runs the universal constructor (Theorem 4) for the named
-// language on a d x d square and returns the outcome plus an ASCII
-// rendering of the surviving shape.
-func Construct(language string, d int, seed int64, opts ...Option) (UniversalOutcome, string, error) {
-	lang, err := shapes.ByName(language)
-	if err != nil {
-		return UniversalOutcome{}, "", err
-	}
-	res, err := runE(Job{Protocol: "universal", Params: Params{Lang: language, D: d}, Seed: seed}, opts)
-	if err != nil {
-		return UniversalOutcome{}, "", err
-	}
-	render := shapes.Render(lang, d).String()
-	return res.Payload.(UniversalOutcome), render, nil
-}
-
-// Replicate runs the Section 7 self-replication of the given shape. The
-// population holds the shape's nodes plus free spare nodes; the paper's
-// requirement is free >= 2|R_G| - |G|, and free == 0 means exactly that
-// default.
-func Replicate(g *grid.Shape, free int, seed int64, opts ...Option) (ReplicationOutcome, error) {
-	res, err := runE(Job{Protocol: "replication", Params: Params{Shape: g, Free: free}, Seed: seed}, opts)
-	if err != nil {
-		return ReplicationOutcome{}, err
-	}
-	return res.Payload.(ReplicationOutcome), nil
-}
-
-// Stabilize runs one of the stabilizing Section 4 rule tables ("line",
-// "square", "square2") on n nodes until the structure spans the population
-// or the step budget runs out, returning the resulting shape.
-func Stabilize(protocol string, n int, seed int64, opts ...Option) (*grid.Shape, error) {
-	res, err := runE(Job{Protocol: "stabilize", Params: Params{Table: protocol, N: n}, Seed: seed}, opts)
-	if err != nil {
-		return nil, err
-	}
-	return res.Payload.(StabilizeOutcome).Shape, nil
 }
 
 // Render draws a shape as ASCII art.
