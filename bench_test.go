@@ -34,20 +34,21 @@ func reportSteps(b *testing.B, total int64) {
 // structure spans the population or the step budget runs out, reporting
 // whether it spanned. A budget is essential: the literal Protocol 2 table
 // has rare seed-dependent trajectories that stall before spanning (its
-// phase-1 rules race; see EXPERIMENTS.md E5/E6).
+// phase-1 rules race; see EXPERIMENTS.md E5/E6). The run takes the skip
+// path; Settle checks the spanning predicate after every effective
+// interaction, so the steps are those of the first spanning step.
 func runTableUntilSpanning(b *testing.B, table *rules.Table, n int, seed int64) (int64, bool) {
 	b.Helper()
 	const budget = 20_000_000
 	w := sim.New(n, sim.NewTableProtocol(table), sim.Options{Seed: seed})
-	for w.Steps() < budget {
-		if _, err := w.Step(); err != nil {
-			b.Fatal(err)
-		}
-		if _, size := w.LargestComponent(); size == n {
-			return w.Steps(), true
-		}
+	res := w.Settle(context.Background(), budget, func(w *sim.World[rules.State]) bool {
+		_, size := w.LargestComponent()
+		return size == n
+	})
+	if res.Reason == sim.ReasonNoInteraction {
+		b.Fatal(sim.ErrNoInteraction)
 	}
-	return w.Steps(), false
+	return res.Steps, res.Reason == sim.ReasonPredicate
 }
 
 // benchSpanning shares the span-rate reporting across E5/E6.
@@ -242,7 +243,9 @@ func BenchmarkE18CheckExhaustive(b *testing.B) {
 
 // Engine micro-benchmarks: raw scheduler throughput. Both engines report
 // allocs/op so the allocation-free steady state stays visible in every
-// benchmark run.
+// benchmark run. BenchmarkEngineStep times sim's Step, one per-step pick:
+// the draw of a world with a scheduler/fault profile. A world without one
+// runs RunContext's skip path, which BenchmarkE5Line times.
 func BenchmarkEngineStep(b *testing.B) {
 	for _, n := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("free-n=%d", n), func(b *testing.B) {

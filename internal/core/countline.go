@@ -151,6 +151,15 @@ func (p *CountLine) leaderMeetsFree(l clLeader, fp int, pa, pb grid.Dir) (clStat
 	if l.Frozen || l.Done {
 		return leadSt(l), freeSt(fp), false, false
 	}
+	if l.Full && l.HasTape && pa != l.TapePort.Opposite() {
+		// While the tape is full, a q0 can be counted only by binding it
+		// at the leader's free end, so the leader meets every free node
+		// there alone, whatever its phase: q0s and q1s are then counted
+		// at the same rate per node, as in Theorem 1's race. Counting q1s
+		// at the other ports as well would let R1 gain on R0 exactly
+		// when R0 = 2^k - 1.
+		return leadSt(l), freeSt(fp), false, false
+	}
 	switch fp {
 	case 0: // a q0: count it in R0
 		if !l.Full {
@@ -165,10 +174,7 @@ func (p *CountLine) leaderMeetsFree(l clLeader, fp int, pa, pb grid.Dir) (clStat
 			l.Pending = opIncR0
 			return leadSt(l), freeSt(1), false, true
 		}
-		// Tape full: bind the q0 at the extension port and swap roles.
-		if l.HasTape && pa != l.TapePort.Opposite() {
-			return leadSt(l), freeSt(fp), false, false // geometry: only the free end extends
-		}
+		// Tape full: bind the q0 at the free end and swap roles.
 		cell := clCell{
 			R0: l.R0, R1: l.R1, R2: l.R2,
 			LeftEnd:   !l.HasTape,

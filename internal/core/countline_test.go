@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"shapesol/internal/grid"
 	"shapesol/internal/sim"
 )
 
@@ -114,6 +115,24 @@ func TestExpectedLineLength(t *testing.T) {
 	} {
 		if got := ExpectedLineLength(tc.r0); got != tc.want {
 			t.Errorf("ExpectedLineLength(%d) = %d, want %d", tc.r0, got, tc.want)
+		}
+	}
+}
+
+func TestCountLineFullTapeCountsAtFreeEndOnly(t *testing.T) {
+	// While the tape is full the leader meets free nodes of every phase
+	// only at its free end, where a q0 can be bound; otherwise at all its
+	// free ports. Either way q0s and q1s are counted at the same rate.
+	p := &CountLine{B: 3}
+	for _, full := range []bool{false, true} {
+		lead := leadSt(clLeader{HasTape: true, TapePort: grid.NX, Full: full, H: 3})
+		for phase := 0; phase <= 2; phase++ {
+			for _, pa := range []grid.Dir{grid.PY, grid.PX, grid.NY} {
+				_, _, _, eff := p.Interact(lead, freeSt(phase), pa, grid.NX, false)
+				if want := !full || pa == grid.PX; eff != want {
+					t.Errorf("full=%v q%d at port %v: effective %v, want %v", full, phase, pa, eff, want)
+				}
+			}
 		}
 	}
 }

@@ -537,11 +537,7 @@ func ReplicationOutcomeOf(ctx context.Context, g *grid.Shape, w *sim.World[rpSta
 	out.Done = true
 	// Settle: let the cleanup waves finish labeling and the dummies shed.
 	// The context is observed so a late cancel is not absorbed here.
-	for settle := w.Steps() + int64(w.N())*20000; w.Steps() < settle && !settled(w) && ctx.Err() == nil; {
-		if _, err := w.Step(); err != nil {
-			break
-		}
-	}
+	w.Settle(ctx, int64(w.N())*20000, settled)
 	want := g.Normalize()
 	for _, slot := range w.ComponentSlots() {
 		if w.ComponentSize(slot) < 1 {

@@ -446,12 +446,7 @@ func SquareKnowingNOutcomeOf(ctx context.Context, d int, w *sim.World[skState], 
 		return out
 	}
 	out.Halted = true
-	settle := w.Steps() + int64(n)*2000
-	for w.Steps() < settle && ctx.Err() == nil {
-		if _, err := w.Step(); err != nil {
-			break
-		}
-	}
+	w.Settle(ctx, int64(n)*2000, nil)
 	slot := w.ComponentOf(0)
 	shape := w.ComponentShape(slot)
 	out.Spanned = shape.Size()

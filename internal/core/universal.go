@@ -398,11 +398,7 @@ func UniversalOutcomeOf(ctx context.Context, lang shapes.Language, d int, w *sim
 		return out
 	}
 	out.Halted = true
-	for settle := w.Steps() + int64(d*d)*5000; w.Steps() < settle && offStillBonded(w) && ctx.Err() == nil; {
-		if _, err := w.Step(); err != nil {
-			break
-		}
-	}
+	w.Settle(ctx, int64(d*d)*5000, func(w *sim.World[uniCell]) bool { return !offStillBonded(w) })
 	got := onShape(w)
 	out.Match = got.EqualUpToTranslation(want)
 	out.Waste = d*d - got.Size()

@@ -317,6 +317,10 @@ type Spec struct {
 	Budgets map[Engine]int64
 	// Params is the parameter schema.
 	Params []Field
+	// Population returns the size of the world a job starts with and the
+	// parameter that sets it; nil means Params.N. Normalize checks it,
+	// plus every possible arrival, against the engine's MaxPopulation.
+	Population func(p Params) (size float64, field string)
 	// Run executes the protocol. It receives the normalized Job (engine
 	// resolved, budget and parameter defaults applied).
 	Run func(ctx context.Context, j Job) (Outcome, error)
@@ -396,6 +400,54 @@ func (s *Spec) normalize(p *Params) error {
 	return nil
 }
 
+// MaxPopulation caps each engine's population at admission. The pop,
+// check and sim engines allocate per agent or per node, so a job above its
+// cap would exhaust the daemon's memory while its world is built; the urn
+// engine keeps counts per state, and its cap keeps the pair weight
+// n(n-1) inside int64. Every golden, test, benchmark and experiment job
+// sits far below its cap.
+var MaxPopulation = map[Engine]int64{
+	EnginePop:   1_000_000,
+	EngineCheck: 1_000_000,
+	EngineSim:   100_000,
+	EngineUrn:   3_000_000_000,
+}
+
+// checkPopulation rejects a job whose world could outgrow its engine's
+// cap: the initial population, plus every arrival its fault profile
+// allows. Arrivals need a max_churn to be bounded at all. The check is
+// O(1), but for a replication shape's bounds, so it costs nothing on a
+// cache hit.
+func checkPopulation(spec *Spec, j Job) error {
+	limit, capped := MaxPopulation[j.Engine]
+	if !capped {
+		return nil
+	}
+	size, field := float64(j.Params.N), "n"
+	if spec.Population != nil {
+		size, field = spec.Population(j.Params)
+	}
+	var errs []sched.FieldError
+	if size > float64(limit) {
+		errs = append(errs, sched.FieldError{Field: field,
+			Msg: fmt.Sprintf("population %.0f exceeds the %s engine's cap of %d", size, j.Engine, limit)})
+	} else if f := j.Params.Fault; f != nil && f.ArriveEvery > 0 {
+		switch {
+		case f.MaxChurn == 0:
+			errs = append(errs, sched.FieldError{Field: "max_churn",
+				Msg: fmt.Sprintf("required with arrive_every: the %s engine caps its population at %d", j.Engine, limit)})
+		case size+float64(f.MaxChurn) > float64(limit):
+			errs = append(errs, sched.FieldError{Field: "max_churn",
+				Msg: fmt.Sprintf("population %.0f plus %d arrivals exceeds the %s engine's cap of %d",
+					size, f.MaxChurn, j.Engine, limit)})
+		}
+	}
+	if errs != nil {
+		return fmt.Errorf("job: protocol %q: %w", spec.Name, &sched.ValidationError{Of: "population", Fields: errs})
+	}
+	return nil
+}
+
 // Run executes j against the Default registry.
 func Run(ctx context.Context, j Job) (Result, error) {
 	return Default.Run(ctx, j)
@@ -408,7 +460,8 @@ func Run(ctx context.Context, j Job) (Result, error) {
 // returned Job is fully resolved — two Jobs that normalize to the same
 // value describe the same deterministic execution, which is what
 // CacheKey captures. Errors are validation errors: unknown protocol,
-// unsupported engine, negative budget, or parameters outside the schema.
+// unsupported engine, negative budget, parameters outside the schema, or
+// a population above the engine's cap (MaxPopulation).
 func (r *Registry) Normalize(j Job) (Job, *Spec, error) {
 	spec, ok := r.Get(j.Protocol)
 	if !ok {
@@ -444,6 +497,9 @@ func (r *Registry) Normalize(j Job) (Job, *Spec, error) {
 		} else {
 			j.Params.Fault = &np
 		}
+	}
+	if err := checkPopulation(spec, j); err != nil {
+		return j, nil, err
 	}
 	return j, spec, nil
 }

@@ -2,6 +2,7 @@ package job
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -230,7 +231,7 @@ func TestRunCancelStopsChurnedUrn(t *testing.T) {
 		res, err := Run(ctx, Job{
 			Protocol: "counting-upper-bound",
 			Engine:   EngineUrn,
-			Params:   Params{N: 1000, Fault: &sched.Profile{ArriveEvery: 1}},
+			Params:   Params{N: 1000, Fault: &sched.Profile{ArriveEvery: 1, MaxChurn: 1_000_000_000}},
 			Seed:     1,
 		})
 		done <- outcome{res, err}
@@ -382,6 +383,67 @@ func TestRegistryRegisterValidation(t *testing.T) {
 				}
 			}()
 			r.Register(spec)
+		})
+	}
+}
+
+// TestNormalizePopulationCaps admits a job at each engine's population
+// cap and rejects one above it with a field-level error; arrivals count
+// against the cap and need a max_churn. Normalize builds no world, so the
+// rejected jobs cost nothing here.
+func TestNormalizePopulationCaps(t *testing.T) {
+	cub := func(e Engine, n int, fault *sched.Profile) Job {
+		return Job{Protocol: "counting-upper-bound", Engine: e, Params: Params{N: n, Fault: fault}}
+	}
+	bar := func(free int) Job {
+		return Job{Protocol: "replication", Params: Params{Shape: grid.ShapeOf(grid.Pos{}, grid.Pos{X: 1}), Free: free}}
+	}
+	simCap := int(MaxPopulation[EngineSim])
+	for _, tc := range []struct {
+		name  string
+		at    Job    // at the cap: accepted
+		above Job    // above it: rejected
+		field string // the field the rejection names
+	}{
+		{"pop", cub(EnginePop, 1_000_000, nil), cub(EnginePop, 1_000_001, nil), "n"},
+		{"check", cub(EngineCheck, 1_000_000, nil), cub(EngineCheck, 1_000_001, nil), "n"},
+		{"urn", cub(EngineUrn, 3_000_000_000, nil), cub(EngineUrn, 3_000_000_001, nil), "n"},
+		{"urn 10^10", cub(EngineUrn, 2, nil), cub(EngineUrn, 10_000_000_000, nil), "n"},
+		{"sim stabilize",
+			Job{Protocol: "stabilize", Params: Params{Table: "line", N: simCap}},
+			Job{Protocol: "stabilize", Params: Params{Table: "line", N: simCap + 1}}, "n"},
+		{"sim square-knowing-n d",
+			Job{Protocol: "square-knowing-n", Params: Params{D: 316}},
+			Job{Protocol: "square-knowing-n", Params: Params{D: 100_000}}, "d"},
+		{"sim square-knowing-n n",
+			Job{Protocol: "square-knowing-n", Params: Params{D: 5, N: simCap}},
+			Job{Protocol: "square-knowing-n", Params: Params{D: 5, N: simCap + 1}}, "n"},
+		{"sim universal",
+			Job{Protocol: "universal", Params: Params{D: 316}},
+			Job{Protocol: "universal", Params: Params{D: 317}}, "d"},
+		{"sim parallel-3d",
+			Job{Protocol: "parallel-3d", Params: Params{D: 100, K: 10}},
+			Job{Protocol: "parallel-3d", Params: Params{D: 100, K: 11}}, "d"},
+		{"sim replication", bar(simCap - 2), bar(simCap - 1), "free"},
+		{"sim replication shape",
+			Job{Protocol: "replication", Params: Params{Shape: grid.ShapeOf(grid.Pos{}, grid.Pos{X: 1})}},
+			Job{Protocol: "replication", Params: Params{Shape: grid.ShapeOf(grid.Pos{}, grid.Pos{X: 1 << 40})}}, "shape"},
+		{"churn without max_churn",
+			cub(EnginePop, 60, &sched.Profile{ArriveEvery: 100, MaxChurn: 1_000_000 - 60}),
+			cub(EnginePop, 60, &sched.Profile{ArriveEvery: 100}), "max_churn"},
+		{"churn past the cap",
+			cub(EngineUrn, 1000, &sched.Profile{ArriveEvery: 1, MaxChurn: 3_000_000_000 - 1000}),
+			cub(EngineUrn, 1000, &sched.Profile{ArriveEvery: 1, MaxChurn: 3_000_000_000 - 999}), "max_churn"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, _, err := Normalize(tc.at); err != nil {
+				t.Fatalf("job at the cap rejected: %v", err)
+			}
+			_, _, err := Normalize(tc.above)
+			var ve *sched.ValidationError
+			if !errors.As(err, &ve) || len(ve.Fields) != 1 || ve.Fields[0].Field != tc.field {
+				t.Fatalf("job above the cap: %v, want a field-level error on %q", err, tc.field)
+			}
 		})
 	}
 }

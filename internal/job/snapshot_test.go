@@ -63,9 +63,10 @@ func envelopeBytes(t *testing.T, res Result) []byte {
 //
 //  1. run the job uninterrupted,
 //  2. run it again with a Checkpoint hook, capturing a snapshot at the
-//     first progress tick (the observed run must produce byte-identical
-//     output — checkpointing is passive),
-//  3. push the snapshot through its full durable form (Encode/Decode),
+//     first progress tick — at every tick for the sim engine, whose skip
+//     bookkeeping a restore rebuilds from the configuration (the observed
+//     run must produce byte-identical output — checkpointing is passive),
+//  3. push each snapshot through its full durable form (Encode/Decode),
 //  4. Resume it in a fresh world and compare the final Result JSON
 //     byte-for-byte (wall time zeroed) against the uninterrupted run.
 func TestSnapshotResumeGolden(t *testing.T) {
@@ -80,13 +81,10 @@ func TestSnapshotResumeGolden(t *testing.T) {
 			}
 			want := envelopeBytes(t, base)
 
-			var frozen []byte
-			var capturedAt int64
+			var frozen [][]byte
+			var capturedAt []int64
 			observed := g.job
 			observed.Checkpoint = func(steps int64, capture func() (*snap.Snapshot, error)) {
-				if frozen != nil {
-					return
-				}
 				s, err := capture()
 				if err != nil {
 					t.Fatalf("capture at step %d: %v", steps, err)
@@ -94,12 +92,15 @@ func TestSnapshotResumeGolden(t *testing.T) {
 				if s.Steps != steps || s.Protocol != g.job.Protocol {
 					t.Fatalf("snapshot identity drifted: %+v at step %d", s, steps)
 				}
+				if len(frozen) > 0 && s.Engine != string(EngineSim) {
+					return
+				}
 				data, err := s.Encode()
 				if err != nil {
 					t.Fatal(err)
 				}
-				frozen = data
-				capturedAt = steps
+				frozen = append(frozen, data)
+				capturedAt = append(capturedAt, steps)
 			}
 			mid, err := Run(ctx, observed)
 			if err != nil {
@@ -108,24 +109,26 @@ func TestSnapshotResumeGolden(t *testing.T) {
 			if got := envelopeBytes(t, mid); !bytes.Equal(got, want) {
 				t.Fatalf("checkpointing perturbed the run:\ngot:\n%s\nwant:\n%s", got, want)
 			}
-			if frozen == nil {
+			if len(frozen) == 0 {
 				t.Fatalf("run finished (%d steps) without a checkpoint tick; pick a longer configuration", base.Steps)
 			}
-			if capturedAt >= base.Steps {
-				t.Fatalf("capture at step %d is not strictly mid-run (run has %d steps)", capturedAt, base.Steps)
+			if capturedAt[0] >= base.Steps {
+				t.Fatalf("capture at step %d is not strictly mid-run (run has %d steps)", capturedAt[0], base.Steps)
 			}
 
-			decoded, err := snap.Decode(frozen)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resumed, err := Resume(ctx, decoded)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := envelopeBytes(t, resumed); !bytes.Equal(got, want) {
-				t.Fatalf("resume-at-step-%d drifted from the uninterrupted run:\ngot:\n%s\nwant:\n%s",
-					capturedAt, got, want)
+			for k, data := range frozen {
+				decoded, err := snap.Decode(data)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resumed, err := Resume(ctx, decoded)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := envelopeBytes(t, resumed); !bytes.Equal(got, want) {
+					t.Fatalf("resume-at-step-%d drifted from the uninterrupted run:\ngot:\n%s\nwant:\n%s",
+						capturedAt[k], got, want)
+				}
 			}
 		})
 	}
@@ -273,7 +276,7 @@ func TestParamsShapeJSONRoundTrip(t *testing.T) {
 // see a cancel. All must settle as resume errors.
 func TestResumeRejectsCraftedEngineState(t *testing.T) {
 	ctx := context.Background()
-	churn := &sched.Profile{ArriveEvery: 1000}
+	churn := &sched.Profile{ArriveEvery: 1000, MaxChurn: 100_000}
 	const lag = 2048 * 1000 // twice the restore bound, in the profile's mean gaps
 	for _, tc := range []struct {
 		name    string

@@ -206,6 +206,12 @@ func init() {
 			{Name: "n", Usage: "population size (default d*d)", Min: 1},
 			faultField,
 		},
+		Population: func(p Params) (float64, string) {
+			if p.N != 0 {
+				return float64(p.N), "n"
+			}
+			return float64(p.D) * float64(p.D), "d"
+		},
 		Run: runner(
 			func(j Job, progress func(int64)) (*sim.World[core.SquareKnowingNState], error) {
 				n := j.Params.N
@@ -247,6 +253,7 @@ func init() {
 			{Name: "lang", Usage: "shape language", DefaultStr: "star"},
 			faultField,
 		},
+		Population: func(p Params) (float64, string) { return float64(p.D) * float64(p.D), "d" },
 		Run: func(ctx context.Context, j Job) (Outcome, error) {
 			if j.Params.D == 1 {
 				// The 1x1 square has no bonded pair to schedule; the run is
@@ -278,6 +285,9 @@ func init() {
 			{Name: "lang", Usage: "shape language", DefaultStr: "star"},
 			faultField,
 		},
+		Population: func(p Params) (float64, string) {
+			return float64(p.K) * float64(p.D) * float64(p.D), "d"
+		},
 		Run: runner(
 			func(j Job, progress func(int64)) (*sim.World[core.Parallel3DState], error) {
 				lang, err := shapes.ByName(j.Params.Lang)
@@ -306,6 +316,18 @@ func init() {
 			{Name: "shape", Usage: "the shape to replicate", Required: true},
 			{Name: "free", Usage: "free nodes (default the paper's 2|R_G|-|G|)"},
 			faultField,
+		},
+		Population: func(p Params) (float64, string) {
+			if p.Free != 0 {
+				return float64(p.Shape.Size()) + float64(p.Free), "free"
+			}
+			// The default free count fills twice the enclosing rectangle,
+			// whose area comes from the bounds: a shape of two far-apart
+			// cells must not be materialized to be rejected.
+			lo, hi, _ := p.Shape.Bounds()
+			area := (float64(hi.X) - float64(lo.X) + 1) * (float64(hi.Y) - float64(lo.Y) + 1) *
+				(float64(hi.Z) - float64(lo.Z) + 1)
+			return 2 * area, "shape"
 		},
 		Run: runner(
 			func(j Job, progress func(int64)) (*sim.World[core.ReplicationState], error) {

@@ -236,6 +236,11 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 		}
 		w.bumpMass(int(slot), w.counts[slot])
 	}
+	for slot, c := range w.counts {
+		if c > 0 && w.livePos[slot] < 0 {
+			return fmt.Errorf("urn: snapshot slot %d holds %d agents but is not live", slot, c)
+		}
+	}
 	free := make(map[int]bool, len(w.freePairs))
 	for _, ps := range w.freePairs {
 		free[ps] = true
@@ -251,6 +256,9 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 		}
 		w.pairF.Set(ps, w.pairWeight(i, j))
 	}
+	if err := w.checkPairTable(free); err != nil {
+		return err
+	}
 	// Reinstall captured drift state over the fresh table so the restored
 	// world replays the captured RNG stream exactly.
 	if m.PairSampler != nil {
@@ -263,5 +271,40 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 	w.skipC = 0
 	w.steps = m.Steps
 	w.effective = m.Effective
+	return nil
+}
+
+// checkPairTable rejects a restored pair table that disagrees with the
+// protocol: every pair of live slots must be responsive exactly when its
+// states interact effectively, in both orders alike, through a live entry
+// naming those two slots. A crafted table that broke this would make a
+// later step draw an ineffective pair and panic. The memento carries the
+// table as nSlots x nSlots entries, so the check is linear in its size.
+func (w *World[S]) checkPairTable(free map[int]bool) error {
+	for _, a := range w.live {
+		for _, b := range w.live {
+			i, j := int(a), int(b)
+			if j < i {
+				continue
+			}
+			_, _, eff := w.proto.Apply(w.states[i], w.states[j])
+			if i != j {
+				if _, _, rev := w.proto.Apply(w.states[j], w.states[i]); rev != eff {
+					return fmt.Errorf("urn: snapshot states %v and %v interact effectively in one order only",
+						w.states[i], w.states[j])
+				}
+			}
+			ps := w.pairSlot[i][j]
+			if w.pairSlot[j][i] != ps || (ps >= 0) != eff {
+				return fmt.Errorf("urn: snapshot pair table disagrees with the protocol at slots %d and %d", i, j)
+			}
+			if ps >= 0 {
+				ab := w.pairAB[ps]
+				if free[int(ps)] || !(int(ab[0]) == i && int(ab[1]) == j || int(ab[0]) == j && int(ab[1]) == i) {
+					return fmt.Errorf("urn: snapshot pair entry %d does not name slots %d and %d", ps, i, j)
+				}
+			}
+		}
+	}
 	return nil
 }

@@ -739,15 +739,15 @@ func (w *World[S]) stepBlock(limit int64) (halted, exhausted bool) {
 				w.skipW, w.skipC = weight, allPairs
 				w.skipDenom = math.Log1p(-float64(weight) / float64(allPairs))
 			}
-			u := 1 - w.rng.Float64()
-			skip := math.Floor(math.Log(u) / w.skipDenom)
-			if rem := horizon - w.steps; skip >= float64(rem) {
+			rem := horizon - w.steps
+			skip := w.rng.GeometricRun(w.skipDenom, rem)
+			if skip >= rem {
 				if w.steps < horizon {
 					w.steps = horizon
 				}
 				return false, !eventCap
 			}
-			w.steps += int64(skip)
+			w.steps += skip
 		}
 		w.steps++
 		w.effective++

@@ -151,6 +151,8 @@ func (e FieldError) Error() string { return e.Field + ": " + e.Msg }
 // ValidationError aggregates every field-level failure of one Validate
 // pass, so API clients can surface all problems at once.
 type ValidationError struct {
+	// Of names what was invalid; empty means a fault profile.
+	Of     string
 	Fields []FieldError
 }
 
@@ -160,7 +162,11 @@ func (e *ValidationError) Error() string {
 	for i, f := range e.Fields {
 		msgs[i] = f.Error()
 	}
-	return "invalid fault profile: " + strings.Join(msgs, "; ")
+	of := e.Of
+	if of == "" {
+		of = "fault profile"
+	}
+	return "invalid " + of + ": " + strings.Join(msgs, "; ")
 }
 
 // maxRate bounds individual weighted rates; maxRateMass bounds n times

@@ -32,7 +32,7 @@ type Config[S any] struct {
 // NewFromConfig builds a world from an explicit initial configuration.
 // Node ids are assigned component by component in specification order,
 // then to the free nodes.
-func NewFromConfig[S any](cfg Config[S], proto Protocol[S], opts Options) (*World[S], error) {
+func NewFromConfig[S comparable](cfg Config[S], proto Protocol[S], opts Options) (*World[S], error) {
 	n := len(cfg.Free)
 	for _, cs := range cfg.Components {
 		n += len(cs.Cells)

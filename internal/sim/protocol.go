@@ -29,9 +29,11 @@
 // geometry rather than a draw over agent ids, policies act as a veto on
 // proposed pairs (adversarial delay, crashed and frozen nodes) and as a
 // re-weighting of the inter-component category (clustered locality),
-// while population churn adds and removes free nodes between steps. A
-// world without a profile bypasses the layer entirely and reproduces the
-// historical RNG stream byte for byte.
+// while population churn adds and removes free nodes between steps. Such
+// a world draws every step through Step. A world without a profile
+// bypasses the layer entirely, and its RunContext jumps over the
+// interactions that change nothing in one geometric draw, with the same
+// law (see skip.go).
 package sim
 
 import (
@@ -40,15 +42,22 @@ import (
 )
 
 // Protocol is the behavior executed at every interaction, generic over the
-// per-node state type S. Implementations must be deterministic: all
-// randomness in the model comes from the scheduler. States are opaque to
-// the engine; rule-table protocols use rules.State, the programmatic
-// constructors use small structs.
+// per-node state type S. States are opaque to the engine; rule-table
+// protocols use rules.State, the programmatic constructors use small
+// structs. Two requirements let RunContext skip the interactions that
+// change nothing (see skip.go):
+//
+//   - S is comparable: the engine interns states to cache which port
+//     classes interact effectively.
+//   - Interact (and InteractSame) is a pure function of its arguments: all
+//     randomness in the model comes from the scheduler, so an answer the
+//     engine cached stays the answer. World.Validate asks the protocol
+//     afresh and fails on a stale cache.
 //
 // Interact receives the two participating states in arbitrary order
 // (interactions are unordered pairs) and must therefore handle both
 // orientations.
-type Protocol[S any] interface {
+type Protocol[S comparable] interface {
 	// InitialState returns the initial state of node id in a population of
 	// n nodes. By convention node 0 carries the pre-elected leader state
 	// when the protocol assumes one.
@@ -71,7 +80,7 @@ type Protocol[S any] interface {
 // adjacent behaves differently from a chance encounter — and the
 // replication constructor of Section 7 needs it to keep its squaring rule
 // from gluing independent components (see DESIGN.md).
-type ComponentAware[S any] interface {
+type ComponentAware[S comparable] interface {
 	Protocol[S]
 	InteractSame(a, b S, pa, pb grid.Dir, bonded, sameComponent bool) (na, nb S, bond bool, effective bool)
 }

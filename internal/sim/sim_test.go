@@ -193,17 +193,6 @@ func TestRunStopsWhenHalted(t *testing.T) {
 	}
 }
 
-func TestRunMaxIneffective(t *testing.T) {
-	w := New(6, inertProtocol{}, Options{Seed: 1, MaxIneffective: 500})
-	res := w.Run()
-	if res.Reason != ReasonIneffective {
-		t.Fatalf("reason = %v, want ineffective-window", res.Reason)
-	}
-	if res.Effective != 0 {
-		t.Fatalf("effective = %d, want 0", res.Effective)
-	}
-}
-
 func TestRunHaltWhenPredicate(t *testing.T) {
 	w := New(6, inertProtocol{}, Options{Seed: 1, CheckEvery: 8})
 	w.SetHaltWhen(func(w *World[string]) bool { return w.Steps() >= 24 })
@@ -386,7 +375,7 @@ func TestFeasiblePlacementsOverlap(t *testing.T) {
 // scanPlacements is the reference of feasibleRotations and placement:
 // every aligning rotation's isometry, kept when no cell of pj's component
 // lands on a cell of pi's.
-func scanPlacements[S any](w *World[S], pi, pj PortRef) []grid.Isometry {
+func scanPlacements[S comparable](w *World[S], pi, pj PortRef) []grid.Isometry {
 	ca := w.comps[w.nodes[pi.Node].comp]
 	cb := w.comps[w.nodes[pj.Node].comp]
 	dA := w.worldDir(pi.Node, pi.Port)

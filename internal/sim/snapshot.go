@@ -33,22 +33,24 @@ type ComponentMemento struct {
 // sets (order-sensitive, like the open-port sets) and the run counters
 // and RNG. The live components' slots and FreeSlots partition
 // [0, NumSlots). The per-slot open-port counts, their ticket table and
-// aggregates are derived from the component data and rebuilt on restore.
+// aggregates are derived from the component data and rebuilt on restore,
+// as is the skip path's bookkeeping, whose draws read only the
+// configuration. Snapshots of older builds carried an IneffectiveRun
+// counter; gob skips it on decode.
 type Memento[S any] struct {
-	N              int
-	Dim            int
-	Steps          int64
-	Effective      int64
-	Merges         int64
-	Splits         int64
-	IneffectiveRun int64
-	RNG            wrand.RNGState
-	Nodes          []NodeMemento[S]
-	Comps          []ComponentMemento
-	NumSlots       int
-	FreeSlots      []int
-	Bonded         []PortPair
-	Latent         []PortPair
+	N         int
+	Dim       int
+	Steps     int64
+	Effective int64
+	Merges    int64
+	Splits    int64
+	RNG       wrand.RNGState
+	Nodes     []NodeMemento[S]
+	Comps     []ComponentMemento
+	NumSlots  int
+	FreeSlots []int
+	Bonded    []PortPair
+	Latent    []PortPair
 
 	// Sched is the scheduler/fault layer's state; nil for profile-less
 	// runs (older snapshots decode with it nil and restore identically).
@@ -63,19 +65,18 @@ type Memento[S any] struct {
 // world quiescent.
 func (w *World[S]) Memento() *Memento[S] {
 	m := &Memento[S]{
-		N:              w.n,
-		Dim:            w.opts.Dim,
-		Steps:          w.steps,
-		Effective:      w.effective,
-		Merges:         w.merges,
-		Splits:         w.splits,
-		IneffectiveRun: w.ineffectiveRun,
-		RNG:            w.rng.State(),
-		Nodes:          make([]NodeMemento[S], len(w.nodes)),
-		NumSlots:       len(w.comps),
-		FreeSlots:      append([]int(nil), w.freeSlots...),
-		Bonded:         append([]PortPair(nil), w.bonded.Items()...),
-		Latent:         append([]PortPair(nil), w.latent.Items()...),
+		N:         w.n,
+		Dim:       w.opts.Dim,
+		Steps:     w.steps,
+		Effective: w.effective,
+		Merges:    w.merges,
+		Splits:    w.splits,
+		RNG:       w.rng.State(),
+		Nodes:     make([]NodeMemento[S], len(w.nodes)),
+		NumSlots:  len(w.comps),
+		FreeSlots: append([]int(nil), w.freeSlots...),
+		Bonded:    append([]PortPair(nil), w.bonded.Items()...),
+		Latent:    append([]PortPair(nil), w.latent.Items()...),
 	}
 	if w.agents != nil {
 		m.Sched = w.agents.State()
@@ -123,8 +124,7 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 		return fmt.Errorf("sim: snapshot scheduler state presence %v, world profile says %v",
 			m.Sched != nil, w.agents != nil)
 	}
-	if m.Steps < 0 || m.Effective < 0 || m.Effective > m.Steps || m.Merges < 0 || m.Splits < 0 ||
-		m.IneffectiveRun < 0 || m.IneffectiveRun > m.Steps {
+	if m.Steps < 0 || m.Effective < 0 || m.Effective > m.Steps || m.Merges < 0 || m.Splits < 0 {
 		return fmt.Errorf("sim: snapshot counters are inconsistent")
 	}
 	nNodes := w.n
@@ -224,7 +224,9 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 	w.effective = m.Effective
 	w.merges = m.Merges
 	w.splits = m.Splits
-	w.ineffectiveRun = m.IneffectiveRun
+	// The skip bookkeeping is a function of the configuration; RunContext
+	// rebuilds it on its first draw.
+	w.book = nil
 	if err := w.Validate(); err != nil {
 		return fmt.Errorf("sim: snapshot world is inconsistent: %w", err)
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // stepN advances w by n scheduler steps, tolerating ErrNoInteraction.
-func stepN[S any](t *testing.T, w *World[S], n int) {
+func stepN[S comparable](t *testing.T, w *World[S], n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
 		if _, err := w.Step(); err != nil {

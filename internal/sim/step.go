@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 
 	"shapesol/internal/grid"
 )
@@ -38,7 +39,7 @@ func (w *World[S]) Step() (StepInfo, error) {
 	for attempt := 0; attempt < maxSampleAttempts; attempt++ {
 		w1 := int64(w.bonded.Len())
 		w2 := int64(w.latent.Len())
-		w3 := (w.tickets.total*w.tickets.total - w.tickets.sumSq) / 2
+		w3 := w.tickets.pairs()
 		if w.agents != nil {
 			w3 = w.agents.ScaleInter(w3)
 		}
@@ -55,7 +56,7 @@ func (w *World[S]) Step() (StepInfo, error) {
 			pp, _ := w.latent.Sample(w.rng)
 			return w.fireIntra(pp, false), nil
 		default:
-			pi, pj, ok := w.sampleOpenPair()
+			pi, pj, ok := w.sampleOpenPair(&w.tickets)
 			if !ok {
 				continue
 			}
@@ -70,18 +71,19 @@ func (w *World[S]) Step() (StepInfo, error) {
 }
 
 // sampleOpenPair draws an unordered pair of open ports of two distinct
-// components, each such pair with equal probability. Drawing the two
-// components independently with probability proportional to their open-port
-// counts and rejecting i == j realizes exactly that distribution; the
+// components weighted by t, each such pair with equal probability. Drawing
+// the two components independently with probability proportional to their
+// weights and rejecting i == j realizes exactly that distribution; the
 // rejection loop stays INSIDE the inter category so that the category
-// weights remain exact.
-func (w *World[S]) sampleOpenPair() (PortRef, PortRef, bool) {
+// weights remain exact. Step draws over every component; the skip path
+// over the multi-node ones.
+func (w *World[S]) sampleOpenPair(t *tickets) (PortRef, PortRef, bool) {
 	for attempt := 0; attempt < maxSampleAttempts; attempt++ {
-		si, ok := w.tickets.sample(w.rng)
+		si, ok := t.sample(w.rng)
 		if !ok {
 			return PortRef{}, PortRef{}, false
 		}
-		sj, _ := w.tickets.sample(w.rng)
+		sj, _ := t.sample(w.rng)
 		if si == sj {
 			continue
 		}
@@ -220,15 +222,20 @@ func (w *World[S]) fireInter(pi, pj PortRef, g grid.Rot) StepInfo {
 }
 
 // interact dispatches the pair (a, b), in that presentation order, to the
-// protocol, reading both node states in place and passing component
-// information to ComponentAware implementations. The assertion is
-// resolved once at world construction, not per interaction.
+// protocol, reading both node states in place.
 func (w *World[S]) interact(a, b PortRef, bonded, sameComp bool) (S, S, bool, bool) {
+	return w.interactStates(w.nodes[a.Node].state, w.nodes[b.Node].state, a.Port, b.Port, bonded, sameComp)
+}
+
+// interactStates asks the protocol about states a and b on ports pa and
+// pb, passing component information to ComponentAware implementations.
+// The assertion is resolved once at world construction, not per
+// interaction.
+func (w *World[S]) interactStates(a, b S, pa, pb grid.Dir, bonded, sameComp bool) (S, S, bool, bool) {
 	if w.isCompAware {
-		return w.compAware.InteractSame(w.nodes[a.Node].state, w.nodes[b.Node].state,
-			a.Port, b.Port, bonded, sameComp)
+		return w.compAware.InteractSame(a, b, pa, pb, bonded, sameComp)
 	}
-	return w.proto.Interact(w.nodes[a.Node].state, w.nodes[b.Node].state, a.Port, b.Port, bonded)
+	return w.proto.Interact(a, b, pa, pb, bonded)
 }
 
 func (w *World[S]) applyState(id int, s S) {
@@ -241,6 +248,9 @@ func (w *World[S]) applyState(id int, s S) {
 	if nd.halted {
 		w.haltedCount++
 	}
+	if w.book != nil {
+		w.restate(id)
+	}
 }
 
 // activate turns a latent facing pair into an active bond.
@@ -249,6 +259,9 @@ func (w *World[S]) activate(pp PortPair) {
 	w.bonded.Add(pp)
 	w.nodes[pp.A.Node].bondedTo[pp.A.Port] = int32(pp.B.Node)
 	w.nodes[pp.B.Node].bondedTo[pp.B.Port] = int32(pp.A.Node)
+	if w.book != nil {
+		w.book.setIntra(pp, w.intraEffective(pp, true))
+	}
 }
 
 // deactivate removes an active bond; if the component falls apart the two
@@ -265,7 +278,13 @@ func (w *World[S]) deactivate(pp PortPair) bool {
 		// Still connected: the cells remain adjacent, so the pair becomes
 		// latent.
 		w.latent.Add(pp)
+		if w.book != nil {
+			w.book.setIntra(pp, w.intraEffective(pp, false))
+		}
 		return false
+	}
+	if w.book != nil {
+		w.book.setIntra(pp, false)
 	}
 	w.split(c, side)
 	return true
@@ -298,6 +317,9 @@ func (w *World[S]) bondSide(start, sizeHint int) map[int]bool {
 // the seed.
 func (w *World[S]) split(c *component, side map[int]bool) {
 	w.splits++
+	if w.book != nil {
+		w.book.countComp(c, -1)
+	}
 	// Move the smaller set for efficiency.
 	moveSide := len(side) <= len(c.nodes)/2
 
@@ -329,13 +351,21 @@ func (w *World[S]) split(c *component, side map[int]bool) {
 				continue
 			}
 			op := w.portOfWorldDir(other, w.worldDir(id, p).Opposite())
-			w.latent.Remove(newPortPair(PortRef{Node: id, Port: p}, PortRef{Node: other, Port: op}))
+			pp := newPortPair(PortRef{Node: id, Port: p}, PortRef{Node: other, Port: op})
+			w.latent.Remove(pp)
+			if w.book != nil {
+				w.book.setIntra(pp, false)
+			}
 		}
 	}
 
 	// Openness changed along the cut; splits are rare, so rebuild both.
 	w.rebuildOpen(c)
 	w.rebuildOpen(nc)
+	if w.book != nil {
+		w.book.countComp(c, 1)
+		w.book.countComp(nc, 1)
+	}
 }
 
 // rebuildOpen recomputes the open-port set of a component from scratch.
@@ -366,6 +396,18 @@ func (w *World[S]) merge(pi, pj PortRef, iso grid.Isometry) {
 	for _, id := range src.nodes {
 		incoming[id] = true
 	}
+	// The skip book's class counts follow the open ports: the incoming
+	// body's leave with it and come back as the merged body's, and the
+	// seam closes some of dst's. A lone dst is recounted whole instead.
+	b := w.book
+	dstLone := len(dst.nodes) == 1
+	if b != nil {
+		b.countComp(src, -1)
+		if dstLone {
+			b.countComp(dst, -1)
+		}
+	}
+	countSeam := b != nil && !dstLone
 
 	// Re-pose the incoming nodes in dst's frame.
 	for _, id := range src.nodes {
@@ -390,6 +432,9 @@ func (w *World[S]) merge(pi, pj PortRef, iso grid.Isometry) {
 			other, occupied := dst.cells[f]
 			if !occupied {
 				dst.open.Add(ref)
+				if countSeam {
+					b.classAdd(b.class(ref), false, 1)
+				}
 				continue
 			}
 			dst.open.Remove(ref)
@@ -400,11 +445,17 @@ func (w *World[S]) merge(pi, pj PortRef, iso grid.Isometry) {
 			op := w.portOfWorldDir(other, w.worldDir(id, p).Opposite())
 			oref := PortRef{Node: other, Port: op}
 			dst.open.Remove(oref)
+			if countSeam {
+				b.classAdd(b.class(oref), false, -1)
+			}
 			pp := newPortPair(ref, oref)
 			if pp == bondPair {
 				continue // activated below
 			}
 			w.latent.Add(pp)
+			if b != nil {
+				b.setIntra(pp, w.intraEffective(pp, false))
+			}
 		}
 	}
 
@@ -414,6 +465,12 @@ func (w *World[S]) merge(pi, pj PortRef, iso grid.Isometry) {
 
 	w.syncWeight(dst)
 	w.dropComponent(src)
+	if b != nil {
+		b.setIntra(bondPair, w.intraEffective(bondPair, true))
+		if dstLone {
+			b.countComp(dst, 1)
+		}
+	}
 }
 
 // stepExhaustive enumerates the full permissible set once and samples from
@@ -425,21 +482,13 @@ func (w *World[S]) stepExhaustive() (StepInfo, error) {
 		rots   []grid.Rot
 	}
 	var inters []inter
-	slots := w.ComponentSlots()
-	for x := 0; x < len(slots); x++ {
-		for y := x + 1; y < len(slots); y++ {
-			ca, cb := w.comps[slots[x]], w.comps[slots[y]]
-			for _, pi := range ca.open.Items() {
-				for _, pj := range cb.open.Items() {
-					if rots := w.feasibleRotations(pi, pj); len(rots) > 0 {
-						// feasibleRotations may return scratch storage;
-						// copy before the next enumeration overwrites it.
-						inters = append(inters, inter{pi, pj, append([]grid.Rot(nil), rots...)})
-					}
-				}
-			}
+	w.eachInterPair(func(pi, pj PortRef, _ bool) {
+		if rots := w.feasibleRotations(pi, pj); len(rots) > 0 {
+			// feasibleRotations may return scratch storage; copy before
+			// the next enumeration overwrites it.
+			inters = append(inters, inter{pi, pj, slices.Clone(rots)})
 		}
-	}
+	})
 	interW := int64(len(inters))
 	if w.agents != nil {
 		interW = w.agents.ScaleInter(interW)
@@ -463,5 +512,26 @@ func (w *World[S]) stepExhaustive() (StepInfo, error) {
 		}
 		in := inters[idx]
 		return w.fireInter(in.pi, in.pj, in.rots[w.rng.Intn(len(in.rots))]), nil
+	}
+}
+
+// eachInterPair visits every unordered pair of open ports of two distinct
+// components, slots in ascending order and ports in open-set order,
+// reporting whether either component is a lone node. It is the one
+// enumeration of the inter-component attempts: stepExhaustive, the skip
+// path's fallback and Validate read it.
+func (w *World[S]) eachInterPair(visit func(pi, pj PortRef, lone bool)) {
+	slots := w.ComponentSlots()
+	for x, sa := range slots {
+		ca := w.comps[sa]
+		for _, sb := range slots[x+1:] {
+			cb := w.comps[sb]
+			lone := len(ca.nodes) == 1 || len(cb.nodes) == 1
+			for _, pi := range ca.open.Items() {
+				for _, pj := range cb.open.Items() {
+					visit(pi, pj, lone)
+				}
+			}
+		}
 	}
 }

@@ -49,6 +49,12 @@ func (t *tickets) set(slot int, count int64) {
 	t.stale = true
 }
 
+// pairs is the number of unordered pairs of tickets held by two distinct
+// slots.
+func (t *tickets) pairs() int64 {
+	return (t.total*t.total - t.sumSq) / 2
+}
+
 // sample draws a slot with probability proportional to its weight. It
 // reports false, without drawing, when every weight is zero.
 func (t *tickets) sample(r *wrand.RNG) (int, bool) {

@@ -9,7 +9,9 @@ import (
 // Validate cross-checks every incremental data structure against a from-
 // scratch recomputation. It is used by the engine's own tests after long
 // randomized runs, and ends every snapshot restore; a non-nil error means
-// the incremental scheduler state diverged from the ground truth. It
+// the incremental scheduler state diverged from the ground truth. When
+// RunContext has built the skip bookkeeping, Validate recounts it through
+// eachInterPair, asking the protocol afresh (see validateBook). It
 // relies only on what RestoreMemento range-checks before calling it (node
 // ids, bond targets, rotations and ports in range), so it reports a
 // corrupt world instead of panicking on it.
@@ -161,5 +163,11 @@ func (w *World[S]) Validate() error {
 			return fmt.Errorf("free slot %d has non-zero weight", slot)
 		}
 	}
-	return w.tickets.validate()
+	if err := w.tickets.validate(); err != nil {
+		return err
+	}
+	if w.book != nil {
+		return w.validateBook()
+	}
+	return nil
 }

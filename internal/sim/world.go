@@ -66,12 +66,6 @@ type Options struct {
 	// StopWhenAnyHalted stops Run once any node enters a halting state
 	// (terminating protocols with a halting leader).
 	StopWhenAnyHalted bool
-	// StopWhenAllHalted stops Run once every node has halted.
-	StopWhenAllHalted bool
-	// MaxIneffective, when positive, stops Run after that many consecutive
-	// ineffective interactions (a stabilization heuristic for the paper's
-	// stabilizing-but-not-terminating protocols).
-	MaxIneffective int64
 	// CheckEvery is the evaluation period of the SetHaltWhen predicate, the
 	// RunContext cancellation check and the Progress callback. Defaults to
 	// 256; a negative period counts as its magnitude.
@@ -101,7 +95,6 @@ const (
 	ReasonMaxSteps StopReason = iota + 1
 	ReasonHalted
 	ReasonNoInteraction
-	ReasonIneffective
 	ReasonPredicate
 	ReasonCanceled
 )
@@ -115,8 +108,6 @@ func (r StopReason) String() string {
 		return "halted"
 	case ReasonNoInteraction:
 		return "no-interaction"
-	case ReasonIneffective:
-		return "ineffective-window"
 	case ReasonPredicate:
 		return "predicate"
 	case ReasonCanceled:
@@ -137,7 +128,7 @@ type Result struct {
 // World is a complete simulation instance, generic over the protocol state
 // type S. It is not safe for concurrent use; run independent worlds in
 // parallel instead (see internal/runner).
-type World[S any] struct {
+type World[S comparable] struct {
 	n     int
 	opts  Options
 	ports []grid.Dir
@@ -148,6 +139,9 @@ type World[S any] struct {
 	isCompAware bool
 	rng         *wrand.RNG
 	haltWhen    func(*World[S]) bool
+	// doneAfter, set by Settle, is the stop predicate RunContext checks
+	// after every effective interaction.
+	doneAfter func(*World[S]) bool
 
 	nodes     []nodeData[S]
 	comps     []*component
@@ -164,26 +158,34 @@ type World[S any] struct {
 	rotBuf []grid.Rot
 
 	steps, effective, merges, splits int64
-	ineffectiveRun                   int64
+	skipped                          int64 // steps jumped over, never executed
 	haltedCount                      int
+
+	// book is the skip path's bookkeeping (see skip.go); nil until
+	// RunContext's first draw without a profile, and after a restore.
+	book *skipBook[S]
+	// stepwise makes RunContext draw every step through Step even without
+	// a profile: the per-step reference of the skip's law tests, set only
+	// through export_test.go.
+	stepwise bool
 
 	// metrics, when non-nil, receives fleet-wide counter deltas on the
 	// CheckEvery cadence; the pub* fields are the already-published
 	// baselines (snapshotted by SetMetrics, so restored step counts are
 	// never re-counted).
-	metrics                          *obs.EngineMetrics
-	faultEvents                      int64
-	pubSteps, pubEffective, pubFault int64
+	metrics                                      *obs.EngineMetrics
+	faultEvents                                  int64
+	pubSteps, pubEffective, pubFault, pubSkipped int64
 
 	// agents is the scheduler/fault layer (see internal/sched); nil without
-	// a profile, in which case every code path below is byte-identical to
-	// the historical engine.
+	// a profile, in which case every code path below skips the layer and
+	// RunContext takes the skip path.
 	agents *sched.Agents
 }
 
 // New builds a world of n free nodes, each in its protocol-defined initial
 // state.
-func New[S any](n int, proto Protocol[S], opts Options) *World[S] {
+func New[S comparable](n int, proto Protocol[S], opts Options) *World[S] {
 	w := newEmpty(n, proto, opts)
 	for id := 0; id < n; id++ {
 		w.addFreeNode(id, proto.InitialState(id, n))
@@ -191,7 +193,7 @@ func New[S any](n int, proto Protocol[S], opts Options) *World[S] {
 	return w
 }
 
-func newEmpty[S any](n int, proto Protocol[S], opts Options) *World[S] {
+func newEmpty[S comparable](n int, proto Protocol[S], opts Options) *World[S] {
 	opts = opts.withDefaults()
 	if opts.Dim != 2 && opts.Dim != 3 {
 		panic(fmt.Sprintf("sim: invalid dimension %d", opts.Dim))
@@ -231,7 +233,7 @@ func (w *World[S]) SetHaltWhen(pred func(*World[S]) bool) {
 
 // ApplyProfile installs a scheduler/fault profile (see internal/sched) on
 // a world that has not stepped yet. A zero profile is a no-op: the world
-// keeps the historical uniform draw, byte for byte. The geometric engine
+// keeps its draw without a profile, byte for byte. The geometric engine
 // supports the uniform, clustered and adversarial-delay policies plus the
 // full fault model; the weighted policy has no port-level meaning here
 // and is rejected by normalization.
@@ -251,6 +253,7 @@ func (w *World[S]) ApplyProfile(p sched.Profile) error {
 		return errors.New("sim: profile must be applied before stepping")
 	}
 	w.agents = sched.NewAgents(np, w.n, w.opts.Seed)
+	w.book = nil
 	return nil
 }
 
@@ -276,6 +279,7 @@ func (w *World[S]) presentNode(id int) bool {
 func (w *World[S]) SetMetrics(m *obs.EngineMetrics) {
 	w.metrics = m
 	w.pubSteps, w.pubEffective, w.pubFault = w.steps, w.effective, w.faultEvents
+	w.pubSkipped = w.skipped
 	if m != nil {
 		m.Runs.Inc()
 	}
@@ -287,12 +291,12 @@ func (w *World[S]) publishMetrics() {
 	if w.metrics == nil {
 		return
 	}
-	// No Skipped here: the grid engine simulates its ineffective steps
-	// (steps - effective is real work, not a geometric fast-forward).
 	w.metrics.Steps.Add(w.steps - w.pubSteps)
 	w.metrics.Effective.Add(w.effective - w.pubEffective)
+	w.metrics.Skipped.Add(w.skipped - w.pubSkipped)
 	w.metrics.FaultEvents.Add(w.faultEvents - w.pubFault)
 	w.pubSteps, w.pubEffective, w.pubFault = w.steps, w.effective, w.faultEvents
+	w.pubSkipped = w.skipped
 }
 
 // applyFaults drains every fault event due at the current step. It runs
@@ -400,12 +404,22 @@ func (w *World[S]) newComponent() *component {
 
 func (w *World[S]) dropComponent(c *component) {
 	w.tickets.set(c.slot, 0)
+	if w.book != nil {
+		w.book.multiT.set(c.slot, 0)
+	}
 	w.comps[c.slot] = nil
 	w.freeSlots = append(w.freeSlots, c.slot)
 }
 
 func (w *World[S]) syncWeight(c *component) {
 	w.tickets.set(c.slot, int64(c.open.Len()))
+	if w.book != nil {
+		var multi int64
+		if len(c.nodes) > 1 {
+			multi = int64(c.open.Len())
+		}
+		w.book.multiT.set(c.slot, multi)
+	}
 }
 
 // worldDir returns the component-frame direction of node id's local port p.
@@ -455,15 +469,7 @@ func (w *World[S]) State(id int) S { return w.nodes[id].state }
 // SetNodeState overrides a node's state (used by configuration builders and
 // tests, never by protocols).
 func (w *World[S]) SetNodeState(id int, s S) {
-	nd := &w.nodes[id]
-	if nd.halted {
-		w.haltedCount--
-	}
-	nd.state = s
-	nd.halted = w.proto.Halted(s)
-	if nd.halted {
-		w.haltedCount++
-	}
+	w.applyState(id, s)
 }
 
 // HaltedCount returns the number of nodes in halting states.
@@ -587,27 +593,33 @@ func (w *World[S]) Run() Result {
 // RunContext is Run under a cancelable context: cancellation (or deadline
 // expiry) is observed on the Options.CheckEvery cadence — the same window
 // as the SetHaltWhen predicate — and stops the run with ReasonCanceled.
-// The per-step hot path is untouched and stays allocation-free.
+//
+// A world with a scheduler/fault profile draws every step through Step,
+// since its policies act on every pick, null ones included. A world
+// without one jumps over its null interactions (see skip.go): the law of
+// the run is the same, and progress, metrics, the stop predicates and
+// cancellation fire on exactly the steps where a per-step loop would fire
+// them. Neither draw allocates per step.
 func (w *World[S]) RunContext(ctx context.Context) Result {
-	reason := ReasonMaxSteps
 	switch {
 	case ctx.Err() != nil:
-		reason = ReasonCanceled
-		return Result{Steps: w.steps, Effective: w.effective,
-			Merges: w.merges, Splits: w.splits, Reason: reason}
-	case w.opts.StopWhenAnyHalted && w.haltedCount > 0,
-		w.opts.StopWhenAllHalted && w.Present() > 0 && w.haltedCount == w.Present():
-		reason = ReasonHalted
-		return Result{Steps: w.steps, Effective: w.effective,
-			Merges: w.merges, Splits: w.splits, Reason: reason}
+		return w.result(ReasonCanceled)
+	case w.opts.StopWhenAnyHalted && w.haltedCount > 0:
+		return w.result(ReasonHalted)
 	case w.haltWhen != nil && w.haltWhen(w):
-		reason = ReasonPredicate
-		return Result{Steps: w.steps, Effective: w.effective,
-			Merges: w.merges, Splits: w.splits, Reason: reason}
+		return w.result(ReasonPredicate)
 	}
+	reason := ReasonMaxSteps
 	next := w.nextCheck()
 	for w.steps < w.opts.MaxSteps {
-		info, err := w.Step()
+		var info StepInfo
+		var err error
+		fired := true
+		if w.agents != nil || w.stepwise {
+			info, err = w.Step()
+		} else {
+			info, fired, err = w.skipStep(min(next, w.opts.MaxSteps))
+		}
 		if err != nil {
 			// With a fault clock running, a future event (a recovery, a
 			// thaw, an arrival) can repopulate the permissible set: jump to
@@ -632,31 +644,18 @@ func (w *World[S]) RunContext(ctx context.Context) Result {
 			}
 			break
 		}
-		if info.Effective {
-			w.ineffectiveRun = 0
-		} else {
-			w.ineffectiveRun++
-			if w.opts.MaxIneffective > 0 && w.ineffectiveRun >= w.opts.MaxIneffective {
-				reason = ReasonIneffective
-				break
-			}
-		}
-		if w.opts.StopWhenAnyHalted && w.haltedCount > 0 {
+		// Only a fired interaction can change a state.
+		if fired && w.opts.StopWhenAnyHalted && w.haltedCount > 0 {
 			reason = ReasonHalted
 			break
 		}
-		if w.opts.StopWhenAllHalted && w.Present() > 0 && w.haltedCount == w.Present() {
-			reason = ReasonHalted
+		if fired && info.Effective && w.doneAfter != nil && w.doneAfter(w) {
+			reason = ReasonPredicate
 			break
 		}
 		if w.steps == next {
 			next += w.opts.CheckEvery
 			w.applyFaults()
-			if w.opts.StopWhenAllHalted && w.Present() > 0 && w.haltedCount == w.Present() {
-				// A departure can complete the all-halted condition.
-				reason = ReasonHalted
-				break
-			}
 			if ctx.Err() != nil {
 				reason = ReasonCanceled
 				break
@@ -672,17 +671,40 @@ func (w *World[S]) RunContext(ctx context.Context) Result {
 		}
 	}
 	w.publishMetrics()
-	return Result{
-		Steps:     w.steps,
-		Effective: w.effective,
-		Merges:    w.merges,
-		Splits:    w.splits,
-		Reason:    reason,
+	return w.result(reason)
+}
+
+// Settle continues a run after its protocol stopped it, for at most budget
+// more steps, until done reports true: the post-halt phase in which a
+// construction sheds its waste. done is checked at entry and after every
+// effective interaction, the only steps that can change its answer; a nil
+// done runs the whole budget. The stop conditions of Options and
+// SetHaltWhen do not apply and Progress does not fire, since the settling
+// is read-out rather than part of the checkpointed run; metrics count its
+// steps, and a profile's fault clock keeps running. Cancellation is
+// observed on the CheckEvery cadence.
+func (w *World[S]) Settle(ctx context.Context, budget int64, done func(*World[S]) bool) Result {
+	if done != nil && done(w) {
+		return w.result(ReasonPredicate)
 	}
+	opts, haltWhen := w.opts, w.haltWhen
+	w.opts.MaxSteps = w.steps + budget
+	w.opts.StopWhenAnyHalted = false
+	w.opts.Progress = nil
+	w.haltWhen, w.doneAfter = nil, done
+	res := w.RunContext(ctx)
+	w.opts, w.haltWhen, w.doneAfter = opts, haltWhen, nil
+	return res
+}
+
+// result summarizes the run so far.
+func (w *World[S]) result(reason StopReason) Result {
+	return Result{Steps: w.steps, Effective: w.effective, Merges: w.merges, Splits: w.splits, Reason: reason}
 }
 
 // nextCheck returns the first multiple of the CheckEvery period after
-// the current step. Steps advance one at a time between fault-clock jumps,
+// the current step. Between fault-clock jumps the step count never passes
+// a multiple without landing on it (the skip path stops its runs there),
 // so RunContext fires its check work exactly when the step count is a
 // multiple of the period — the same steps a division per step would pick,
 // after a jump and after a restore too — without dividing on every step.

@@ -129,3 +129,59 @@ func LogLogSlope(xs, ys []float64) (slope float64, err error) {
 	}
 	return (n*sxy - sx*sy) / denom, nil
 }
+
+// KS returns the two-sample Kolmogorov-Smirnov statistic D, the largest
+// gap between the empirical distribution functions of xs and ys, and its
+// asymptotic p-value under the hypothesis that both samples come from one
+// continuous law. Ties, as in step counts, only make the test
+// conservative. Both samples must be non-empty.
+func KS(xs, ys []float64) (d, p float64) {
+	a := append([]float64(nil), xs...)
+	b := append([]float64(nil), ys...)
+	sort.Float64s(a)
+	sort.Float64s(b)
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		x := min(a[i], b[j])
+		for i < len(a) && a[i] == x {
+			i++
+		}
+		for j < len(b) && b[j] == x {
+			j++
+		}
+		d = max(d, math.Abs(float64(i)/float64(len(a))-float64(j)/float64(len(b))))
+	}
+	ne := float64(len(a)) * float64(len(b)) / float64(len(a)+len(b))
+	return d, kolmogorovQ((math.Sqrt(ne) + 0.12 + 0.11/math.Sqrt(ne)) * d)
+}
+
+// kolmogorovQ is the Kolmogorov distribution's tail
+// 2 * sum_{k>=1} (-1)^(k-1) exp(-2 k^2 lambda^2).
+func kolmogorovQ(lambda float64) float64 {
+	if lambda < 0.2 {
+		return 1
+	}
+	var q float64
+	sign := 1.0
+	for k := 1; k <= 100; k++ {
+		term := sign * 2 * math.Exp(-2*float64(k*k)*lambda*lambda)
+		q += term
+		if math.Abs(term) < 1e-12 {
+			break
+		}
+		sign = -sign
+	}
+	return min(max(q, 0), 1)
+}
+
+// TwoProportionZ returns the z statistic of the difference between the
+// success rates a/n and b/m under a pooled variance, 0 when both rates
+// are 0 or 1.
+func TwoProportionZ(a, n, b, m int) float64 {
+	pool := float64(a+b) / float64(n+m)
+	se := math.Sqrt(pool * (1 - pool) * (1/float64(n) + 1/float64(m)))
+	if se == 0 {
+		return 0
+	}
+	return (float64(a)/float64(n) - float64(b)/float64(m)) / se
+}

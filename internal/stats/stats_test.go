@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -79,5 +80,37 @@ func TestLogLogSlope(t *testing.T) {
 	}
 	if _, err := LogLogSlope([]float64{1, -1}, []float64{1, 1}); err == nil {
 		t.Fatal("negative values accepted")
+	}
+}
+
+func TestKS(t *testing.T) {
+	r := rand.New(rand.NewSource(1))
+	draw := func(n int, scale float64) []float64 {
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = r.ExpFloat64() * scale
+		}
+		return xs
+	}
+	if d, p := KS(draw(2000, 1), draw(2000, 1)); p < 0.01 || d > 0.05 {
+		t.Errorf("same law rejected: D=%.4f p=%.4g", d, p)
+	}
+	if d, p := KS(draw(2000, 1), draw(2000, 1.2)); p > 1e-3 {
+		t.Errorf("different laws accepted: D=%.4f p=%.4g", d, p)
+	}
+	if d, p := KS([]float64{1, 2, 3}, []float64{1, 2, 3}); d != 0 || p != 1 {
+		t.Errorf("identical samples: D=%v p=%v", d, p)
+	}
+}
+
+func TestTwoProportionZ(t *testing.T) {
+	if z := TwoProportionZ(500, 1000, 500, 1000); z != 0 {
+		t.Errorf("equal rates: z=%v", z)
+	}
+	if z := TwoProportionZ(600, 1000, 500, 1000); z < 4 || z > 5 {
+		t.Errorf("0.6 vs 0.5 over 1000 each: z=%v", z)
+	}
+	if z := TwoProportionZ(10, 10, 20, 20); z != 0 {
+		t.Errorf("all successes: z=%v", z)
 	}
 }

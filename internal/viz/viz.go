@@ -40,7 +40,7 @@ func RenderLabeled(s *grid.Shape, glyph func(grid.Pos) byte) string {
 // RenderWorld draws every multi-node component of a 2D world side by side
 // (top-aligned), with singleton components summarized as a count. The
 // glyph function receives the node's state.
-func RenderWorld[S any](w *sim.World[S], glyph func(state S) byte) string {
+func RenderWorld[S comparable](w *sim.World[S], glyph func(state S) byte) string {
 	var blocks [][]string
 	singles := 0
 	slots := w.ComponentSlots()
@@ -84,7 +84,7 @@ func RenderWorld[S any](w *sim.World[S], glyph func(state S) byte) string {
 	return b.String()
 }
 
-func renderComponent[S any](w *sim.World[S], slot int, glyph func(S) byte) []string {
+func renderComponent[S comparable](w *sim.World[S], slot int, glyph func(S) byte) []string {
 	nodes := w.ComponentNodes(slot)
 	byPos := make(map[grid.Pos]int, len(nodes))
 	lo := w.Pos(nodes[0])

@@ -2,6 +2,7 @@ package wrand
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 )
 
@@ -145,6 +146,23 @@ func (r *RNG) Float64() float64 {
 			return f
 		}
 	}
+}
+
+// GeometricRun draws the length of a run of failures before the first
+// success of independent trials that each succeed with probability p,
+// given as logq = math.Log1p(-p) so callers can cache it while p holds:
+// floor(log(U)/logq) for U uniform on (0, 1], from one Float64 draw. A
+// run of limit or more comes back as limit. Stopping a run there is
+// exact: by memorylessness, what remains past the limit is geometric
+// again and is drawn afresh. The urn and sim engines skip their
+// ineffective steps through it.
+func (r *RNG) GeometricRun(logq float64, limit int64) int64 {
+	u := 1 - r.Float64()
+	run := math.Floor(math.Log(u) / logq)
+	if run >= float64(limit) {
+		return limit
+	}
+	return int64(run)
 }
 
 // NewRNG returns a generator deterministically seeded from seed.

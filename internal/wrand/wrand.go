@@ -22,12 +22,14 @@ import (
 // Fenwick is a binary indexed tree over int64 weights supporting point
 // updates, prefix sums, and weighted sampling in O(log n), with the total
 // weight kept alongside so Total is O(1). Slots are indexed from 0. The
-// zero value is unusable; call NewFenwick.
+// tree spans a capacity of at least n slots, the ones past n at weight
+// zero, so Grow is amortized O(log n) per slot. The zero value is
+// unusable; call NewFenwick.
 type Fenwick struct {
-	tree  []int64 // 1-based internal representation
+	tree  []int64 // 1-based internal representation over the capacity
 	n     int
 	total int64 // sum of all weights
-	top   int   // highest power of two <= n (0 when n == 0): Sample's first step
+	top   int   // highest power of two <= capacity (0 when empty): Sample's first step
 }
 
 // NewFenwick returns a Fenwick tree with n zero-weight slots.
@@ -43,24 +45,31 @@ func highBit(n int) int {
 	return 1 << (bits.Len(uint(n)) - 1)
 }
 
-// Grow extends the tree to at least n slots, preserving weights.
+// Grow extends the tree to at least n slots, preserving weights. Within
+// the capacity it only moves the slot bound; past it, the capacity at
+// least doubles and the tree is rebuilt in O(capacity). Sample returns the
+// first slot whose prefix sum exceeds its target, which a zero-weight
+// tail cannot change, so a grown tree draws exactly what a tree built at
+// its size with the same weights draws.
 func (f *Fenwick) Grow(n int) {
 	if n <= f.n {
 		return
 	}
-	weights := make([]int64, f.n)
-	for i := 0; i < f.n; i++ {
-		weights[i] = f.Weight(i)
+	if n < len(f.tree) {
+		f.n = n
+		return
 	}
-	f.tree = make([]int64, n+1)
-	f.n = n
-	f.top = highBit(n)
-	f.total = 0
-	for i, w := range weights {
-		if w != 0 {
-			f.Add(i, w)
+	capacity := max(n, 2*(len(f.tree)-1))
+	tree := make([]int64, capacity+1)
+	for i := 0; i < f.n; i++ {
+		tree[i+1] = f.Weight(i)
+	}
+	for j := 1; j <= capacity; j++ {
+		if parent := j + j&-j; parent <= capacity {
+			tree[parent] += tree[j]
 		}
 	}
+	f.tree, f.n, f.top = tree, n, highBit(capacity)
 }
 
 // Add adds delta to the weight of slot i. The resulting weight must remain
@@ -73,7 +82,7 @@ func (f *Fenwick) Add(i int, delta int64) {
 	if delta < 0 && f.Weight(i)+delta < 0 {
 		panic(fmt.Sprintf("wrand: slot %d weight would become negative", i))
 	}
-	for j := i + 1; j <= f.n; j += j & (-j) {
+	for j := i + 1; j < len(f.tree); j += j & (-j) {
 		f.tree[j] += delta
 	}
 	f.total += delta
@@ -113,7 +122,7 @@ func (f *Fenwick) Sample(r Rand) (int, bool) {
 	target := r.Int63n(f.total) // uniform in [0, total)
 	// Descend the implicit tree: find the first slot whose prefix sum
 	// exceeds target.
-	tree := f.tree // len(tree) == n+1
+	tree := f.tree // len(tree) == capacity+1
 	idx := 0
 	for half := f.top; half > 0; half >>= 1 {
 		next := idx + half

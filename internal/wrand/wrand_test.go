@@ -137,6 +137,50 @@ func TestFenwickGrowPreservesWeights(t *testing.T) {
 	}
 }
 
+// TestFenwickGrowAmortized pins the churn fix: growing one slot at a time
+// reallocates only when the capacity doubles, so 4096 one-slot grows
+// allocate O(log n) times instead of rebuilding the tree on every call.
+func TestFenwickGrowAmortized(t *testing.T) {
+	allocs := testing.AllocsPerRun(5, func() {
+		f := NewFenwick(1)
+		for n := 2; n <= 4096; n++ {
+			f.Grow(n)
+			f.Set(n-1, int64(n%7))
+		}
+	})
+	if allocs > 2*12+4 {
+		t.Fatalf("4096 one-slot grows allocated %.0f times, want O(log n)", allocs)
+	}
+}
+
+// TestFenwickGrownSamplesLikeFresh checks that a tree grown slot by slot,
+// whose capacity runs past its size at zero weight, draws exactly the
+// slots a tree built at its size with the same weights draws.
+func TestFenwickGrownSamplesLikeFresh(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for _, n := range []int{1, 2, 3, 5, 17, 64, 100, 1000} {
+		grown := NewFenwick(0)
+		fresh := NewFenwick(n)
+		for i := 0; i < n; i++ {
+			grown.Grow(i + 1)
+			w := int64(r.Intn(5))
+			grown.Set(i, w)
+			fresh.Set(i, w)
+		}
+		if grown.Total() == 0 {
+			continue
+		}
+		a, b := NewRNG(int64(n)), NewRNG(int64(n))
+		for k := 0; k < 2000; k++ {
+			x, _ := grown.Sample(a)
+			y, _ := fresh.Sample(b)
+			if x != y {
+				t.Fatalf("n=%d draw %d: grown tree drew slot %d, fresh tree %d", n, k, x, y)
+			}
+		}
+	}
+}
+
 // TestFenwickSampleChiSquared is the distribution smoke test: the
 // chi-squared statistic of Sample counts against expected frequencies must
 // stay below the critical value, including after a Grow and a weight
