@@ -99,8 +99,7 @@ type node struct {
 // mirrored checkpoint for a resume-where-it-left-off handoff.
 type record struct {
 	id       string
-	key      string
-	body     []byte // normalized job JSON (fresh (re)submission payload)
+	key      string // CacheKey: the normalized job JSON, also the (re)submission body
 	protocol string
 	engine   job.Engine
 	seed     int64
@@ -460,12 +459,7 @@ func (c *Coordinator) Admit(w http.ResponseWriter, nj job.Job, _ *job.Spec, snap
 		server.WriteJSON(w, http.StatusOK, rec.status())
 		return
 	}
-	body, err := json.Marshal(nj)
-	if err != nil {
-		server.WriteError(w, http.StatusInternalServerError, err.Error())
-		return
-	}
-	rec.body, rec.snapshot = body, snapshot
+	rec.snapshot = snapshot
 	c.jobs.Add(rec.withID)
 	c.traceEvent(rec, server.TraceSubmitted, string(nj.Engine)+" "+nj.Protocol, 0)
 	c.placeAndRespond(w, rec, snapshot)
@@ -497,10 +491,10 @@ func (c *Coordinator) placeAndRespond(w http.ResponseWriter, rec *record, resume
 // walking past nodes that turn out unreachable (each such discovery
 // marks the node dead, which fails its other jobs over too). resumeData
 // non-nil sends POST /v1/jobs/resume with the snapshot bytes; nil sends
-// the record's normalized-job body to POST /v1/jobs. On success the
-// record's owner fields are updated and the worker's admission code is
-// returned; a worker-side rejection is returned as (code, body); err is
-// reserved for "no live worker could take it".
+// the record's key, the normalized job's JSON, to POST /v1/jobs. On
+// success the record's owner fields are updated and the worker's
+// admission code is returned; a worker-side rejection is returned as
+// (code, body); err is reserved for "no live worker could take it".
 func (c *Coordinator) place(rec *record, resumeData []byte) (int, []byte, error) {
 	tried := make(map[string]bool)
 	for {
@@ -524,7 +518,7 @@ func (c *Coordinator) place(rec *record, resumeData []byte) (int, []byte, error)
 		if resumeData != nil {
 			resp, err = c.client.Post(ownerURL+"/v1/jobs/resume", "application/octet-stream", bytes.NewReader(resumeData))
 		} else {
-			resp, err = c.client.Post(ownerURL+"/v1/jobs", "application/json", bytes.NewReader(rec.body))
+			resp, err = c.client.Post(ownerURL+"/v1/jobs", "application/json", strings.NewReader(rec.key))
 		}
 		if err != nil {
 			c.failNode(owner, "unreachable: "+err.Error())

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"testing"
 
+	"shapesol/internal/obs"
 	"shapesol/internal/sched"
 	"shapesol/internal/snap"
 )
@@ -147,6 +148,29 @@ func TestCacheKeyFault(t *testing.T) {
 	}
 }
 
+// TestCacheKeyRates pins the weighted scheduler's rates in the key: the
+// same rates normalized twice agree, and the same rates in another order
+// (another agent gets each rate) are another run identity.
+func TestCacheKeyRates(t *testing.T) {
+	key := func(rates ...int64) string {
+		t.Helper()
+		j, _, err := Normalize(Job{Protocol: "counting-upper-bound",
+			Params: Params{N: 10, Fault: &sched.Profile{
+				Scheduler: sched.KindWeighted, Rates: rates, CrashEvery: 100,
+			}}, Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return j.CacheKey()
+	}
+	if a, b := key(1, 3), key(1, 3); a != b {
+		t.Fatalf("equal profiles render different keys:\n%s\n%s", a, b)
+	}
+	if a, c := key(1, 3), key(3, 1); a == c {
+		t.Fatalf("different rates render the same key: %s", a)
+	}
+}
+
 // faultedSnapshotJobs is one faulted configuration per engine, each
 // crossing at least one checkpoint tick strictly before finishing.
 var faultedSnapshotJobs = []struct {
@@ -182,24 +206,32 @@ var faultedSnapshotJobs = []struct {
 // TestSnapshotResumeFaultedGolden is TestSnapshotResumeGolden for faulted
 // runs: the scheduler layer's state (pools, fault clock, policy cursors)
 // must ride the snapshot so a resumed run replays the same fault timeline
-// and finishes with a byte-identical Result envelope.
+// and finishes with a byte-identical Result envelope. The fault events the
+// resumed run publishes are its own: with those published before the
+// capture, they add up to the uninterrupted run's.
 func TestSnapshotResumeFaultedGolden(t *testing.T) {
 	ctx := context.Background()
+	metered := func(j Job) Job {
+		j.Metrics = obs.NewEngineMetrics(obs.NewRegistry(), string(j.Engine))
+		return j
+	}
 	for _, g := range faultedSnapshotJobs {
 		t.Run(g.name, func(t *testing.T) {
-			base, err := Run(ctx, g.job)
+			whole := metered(g.job)
+			base, err := Run(ctx, whole)
 			if err != nil {
 				t.Fatal(err)
 			}
 			want := envelopeBytes(t, base)
 
 			var frozen []byte
-			var capturedAt int64
-			observed := g.job
+			var capturedAt, eventsBefore int64
+			observed := metered(g.job)
 			observed.Checkpoint = func(steps int64, capture func() (*snap.Snapshot, error)) {
 				if frozen != nil {
 					return
 				}
+				eventsBefore = observed.Metrics.FaultEvents.Value()
 				s, err := capture()
 				if err != nil {
 					t.Fatalf("capture at step %d: %v", steps, err)
@@ -229,13 +261,23 @@ func TestSnapshotResumeFaultedGolden(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			resumed, err := Resume(ctx, decoded)
+			rj, spec, err := Default.ResumeJob(decoded)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rj = metered(rj)
+			resumed, err := RunNormalized(ctx, rj, spec)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := envelopeBytes(t, resumed); !bytes.Equal(got, want) {
 				t.Fatalf("faulted resume-at-step-%d drifted:\ngot:\n%s\nwant:\n%s",
 					capturedAt, got, want)
+			}
+			total, after := whole.Metrics.FaultEvents.Value(), rj.Metrics.FaultEvents.Value()
+			if total == 0 || eventsBefore+after != total {
+				t.Fatalf("fault events: %d before the capture + %d resumed, want %d in all (> 0)",
+					eventsBefore, after, total)
 			}
 		})
 	}

@@ -509,50 +509,26 @@ func Normalize(j Job) (Job, *Spec, error) {
 	return Default.Normalize(j)
 }
 
-// CacheKey returns the canonical identity of a normalized Job: every
-// field that determines the deterministic outcome of the run — protocol,
-// engine, seed, step budget and the full parameter set (including the
-// cells of a by-reference Shape) — folded into one string. Two Jobs with
-// equal keys produce byte-identical Result envelopes up to WallTime, so
-// the key is safe to use for result caching and deduplication. Call it on
-// the Job returned by Normalize: pre-normalization Jobs may differ only
-// in fields a default would fill in.
+// CacheKey returns the canonical identity of a normalized Job: its JSON
+// wire form, the bytes the journal's submit record, a snapshot's header
+// and the coordinator's forwarded submission carry. The wire form holds
+// every field that determines the deterministic outcome of the run —
+// protocol, engine, seed, step budget and the full parameter set (a
+// by-reference Shape as sorted cells plus any bond list, the normalized
+// fault profile) — and none of the hooks. Two Jobs with equal keys
+// produce byte-identical Result envelopes up to WallTime, so the key is
+// safe to use for result caching and deduplication. Call it on the Job
+// returned by Normalize: pre-normalization Jobs may differ only in fields
+// a default would fill in, and Normalize collapses a zero fault profile
+// to nil, so profile-less and explicitly uniform jobs share one key (they
+// share one RNG stream).
 func (j Job) CacheKey() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "%s|%s|seed=%d|budget=%d|n=%d|b=%d|d=%d|k=%d|free=%d|lang=%s|table=%s",
-		j.Protocol, j.Engine, j.Seed, j.MaxSteps,
-		j.Params.N, j.Params.B, j.Params.D, j.Params.K, j.Params.Free,
-		j.Params.Lang, j.Params.Table)
-	if j.Params.Shape != nil {
-		sb.WriteString("|shape=")
-		// Cells() is already in deterministic lexicographic order, so
-		// equal cell sets render equal key fragments.
-		cells := j.Params.Shape.Cells()
-		for i, c := range cells {
-			if i > 0 {
-				sb.WriteByte(';')
-			}
-			fmt.Fprintf(&sb, "%d,%d,%d", c.X, c.Y, c.Z)
-		}
-		if full := grid.ShapeOf(cells...); full.NumBonds() != j.Params.Shape.NumBonds() {
-			// Same cells, different bond sets are different run identities;
-			// Edges() is canonically sorted, so the fragment is stable.
-			sb.WriteString("|bonds=")
-			for i, e := range j.Params.Shape.Edges() {
-				if i > 0 {
-					sb.WriteByte(';')
-				}
-				fmt.Fprintf(&sb, "%d,%d,%d-%d,%d,%d", e.A.X, e.A.Y, e.A.Z, e.B.X, e.B.Y, e.B.Z)
-			}
-		}
+	data, err := json.Marshal(j)
+	if err != nil {
+		// Every wire field is a string, an integer or a slice of them.
+		panic(fmt.Sprintf("job: marshal cache key: %v", err))
 	}
-	if j.Params.Fault != nil {
-		// Normalize collapses zero profiles to nil, so profile-less jobs and
-		// explicitly-uniform jobs share one key (they share one RNG stream).
-		sb.WriteString("|fault=")
-		sb.WriteString(j.Params.Fault.Key())
-	}
-	return sb.String()
+	return string(data)
 }
 
 // Run executes one Job: it resolves the Spec, selects the engine, applies

@@ -118,7 +118,6 @@ type World[S any] struct {
 	// CheckEvery cadence. The pub* fields track what has already been
 	// published so restored step counts are never re-counted.
 	metrics                          *obs.EngineMetrics
-	faultEvents                      int64
 	pubSteps, pubEffective, pubFault int64
 }
 
@@ -281,7 +280,7 @@ func (w *World[S]) stepScheduled() bool {
 // per-step hot path is untouched.
 func (w *World[S]) SetMetrics(m *obs.EngineMetrics) {
 	w.metrics = m
-	w.pubSteps, w.pubEffective, w.pubFault = w.steps, w.effective, w.faultEvents
+	w.pubSteps, w.pubEffective, w.pubFault = w.steps, w.effective, w.agents.FaultEvents()
 	if m != nil {
 		m.Runs.Inc()
 	}
@@ -294,34 +293,28 @@ func (w *World[S]) publishMetrics() {
 	if w.metrics == nil {
 		return
 	}
+	fault := w.agents.FaultEvents()
 	w.metrics.Steps.Add(w.steps - w.pubSteps)
 	w.metrics.Effective.Add(w.effective - w.pubEffective)
-	w.metrics.FaultEvents.Add(w.faultEvents - w.pubFault)
-	w.pubSteps, w.pubEffective, w.pubFault = w.steps, w.effective, w.faultEvents
+	w.metrics.FaultEvents.Add(fault - w.pubFault)
+	w.pubSteps, w.pubEffective, w.pubFault = w.steps, w.effective, fault
 }
 
 // applyFaults drains every fault event due at the current step. It runs
 // on the CheckEvery cadence (and after fast-forwards), so fault times are
 // quantized to the check boundary; the event *order* and count are exact.
+// The scheduler layer applies crashes, recoveries, freezes and thaws
+// itself; arrivals and departures change the engine's population.
 func (w *World[S]) applyFaults() {
 	if w.agents == nil {
 		return
 	}
 	for {
-		ev, ok := w.agents.NextDue(w.steps)
+		ev, ok := w.agents.NextChurn(w.steps)
 		if !ok {
 			return
 		}
-		w.faultEvents++
 		switch ev {
-		case sched.EvCrash:
-			w.agents.CrashOne()
-		case sched.EvRecover:
-			w.agents.RecoverOne()
-		case sched.EvFreeze:
-			w.agents.FreezeOne()
-		case sched.EvThaw:
-			w.agents.ThawOne()
 		case sched.EvArrive:
 			id := w.agents.ArriveOne()
 			s := w.proto.InitialState(id, w.n)
@@ -335,7 +328,7 @@ func (w *World[S]) applyFaults() {
 				}
 			}
 		case sched.EvDepart:
-			if id, ok := w.agents.DepartOne(); ok && w.halted[id] {
+			if id, ok := w.agents.DepartOne(nil); ok && w.halted[id] {
 				w.halted[id] = false
 				w.haltedCount--
 			}

@@ -217,7 +217,7 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 	for i := range w.livePos {
 		w.livePos[i] = -1
 	}
-	clear(w.slotOf)
+	seen := make(map[S]bool, len(w.live))
 	w.haltedCount = 0
 	w.sumT, w.sumS2 = 0, 0
 	for pos, slot := range w.live {
@@ -226,10 +226,10 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 		}
 		w.livePos[slot] = int32(pos)
 		s := w.states[slot]
-		if _, dup := w.slotOf[s]; dup {
+		if seen[s] {
 			return fmt.Errorf("urn: snapshot holds state %v in two slots", s)
 		}
-		w.slotOf[s] = int(slot)
+		seen[s] = true
 		w.haltedSlot[slot] = w.proto.Halted(s)
 		if w.haltedSlot[slot] {
 			w.haltedCount += w.counts[slot]
@@ -266,7 +266,6 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 			return err
 		}
 	}
-	w.slotOfValid = true
 	w.skipW = 0
 	w.skipC = 0
 	w.steps = m.Steps

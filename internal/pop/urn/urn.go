@@ -104,14 +104,6 @@ type World[S comparable] struct {
 	live       []int32 // live slots, swap-removed
 	livePos    []int32 // slot -> index in live, -1 when free
 
-	// slotOf maps a present state to its slot, but only while more than
-	// scanThreshold states are live: below that a linear scan of live is
-	// cheaper than hashing the state, so mutations merely invalidate the
-	// map (slotOfValid) and it is rebuilt lazily if the urn grows past the
-	// threshold again.
-	slotOf      map[S]int
-	slotOfValid bool
-
 	// pairF holds one entry per *responsive* unordered slot pair {i, j},
 	// weighted by the number of agent pairs realizing it (c_i*c_j, or
 	// c_i*(c_i-1)/2 on the diagonal). Its Total() is the responsive weight
@@ -161,7 +153,6 @@ type World[S comparable] struct {
 	// already-published baselines (set at SetMetrics time, so restored
 	// runs never re-publish their snapshot's counts).
 	metrics                *obs.EngineMetrics
-	faultEvents            int64
 	blockFlushes           int64
 	pubSteps, pubEffective int64
 	pubFault, pubFlush     int64
@@ -172,58 +163,18 @@ type World[S comparable] struct {
 // (clamped to the CheckEvery cadence).
 const blockSize = 256
 
-// scanThreshold is the live-slot count below which state lookup scans the
-// live list instead of maintaining the slotOf map: hashing a state costs
-// more than a dozen-odd state compares, and the Section 5 protocols keep
-// the number of distinct states far below this.
-const scanThreshold = 16
-
-// lookup resolves a state to its live slot.
+// lookup resolves a state to its live slot by scanning the live list.
+// The one registered urn protocol, Counting-Upper-Bound, keeps at most
+// four states live (the leader's, q0, q1 and q2), or five for an instant
+// inside a transition, and a handful of state compares costs less than
+// hashing a state.
 func (w *World[S]) lookup(s S) (int, bool) {
-	if len(w.live) <= scanThreshold {
-		for _, k := range w.live {
-			if w.states[k] == s {
-				return int(k), true
-			}
-		}
-		return 0, false
-	}
-	w.ensureSlotOf()
-	slot, ok := w.slotOf[s]
-	return slot, ok
-}
-
-// ensureSlotOf rebuilds the state-to-slot map after a phase of scan-mode
-// mutations left it stale.
-func (w *World[S]) ensureSlotOf() {
-	if w.slotOfValid {
-		return
-	}
-	clear(w.slotOf)
 	for _, k := range w.live {
-		w.slotOf[w.states[k]] = int(k)
+		if w.states[k] == s {
+			return int(k), true
+		}
 	}
-	w.slotOfValid = true
-}
-
-// mapInsert records state s at slot in the lookup structure; mapRemove
-// drops it. In scan mode the map is simply invalidated.
-func (w *World[S]) mapInsert(s S, slot int) {
-	if len(w.live) <= scanThreshold {
-		w.slotOfValid = false
-		return
-	}
-	w.ensureSlotOf()
-	w.slotOf[s] = slot
-}
-
-func (w *World[S]) mapRemove(s S) {
-	if len(w.live) <= scanThreshold {
-		w.slotOfValid = false
-		return
-	}
-	w.ensureSlotOf()
-	delete(w.slotOf, s)
+	return 0, false
 }
 
 // New builds a population of n agents in their initial states. n must be at
@@ -235,14 +186,12 @@ func New[S comparable](n int, proto Protocol[S], opts pop.Options) *World[S] {
 	}
 	sched.RunDefaults(&opts.MaxSteps, &opts.CheckEvery, 100_000_000)
 	w := &World[S]{
-		n:           n,
-		totalPairs:  int64(n) * int64(n-1) / 2,
-		opts:        opts,
-		proto:       proto,
-		rng:         wrand.NewRNG(opts.Seed),
-		slotOf:      make(map[S]int),
-		slotOfValid: true,
-		pairF:       wrand.NewAlias(0),
+		n:          n,
+		totalPairs: int64(n) * int64(n-1) / 2,
+		opts:       opts,
+		proto:      proto,
+		rng:        wrand.NewRNG(opts.Seed),
+		pairF:      wrand.NewAlias(0),
 	}
 	for id := 0; id < n; id++ {
 		w.addOne(proto.InitialState(id, n))
@@ -433,7 +382,6 @@ func (w *World[S]) allocSlot(s S) int {
 	}
 	w.livePos[slot] = int32(len(w.live))
 	w.live = append(w.live, int32(slot))
-	w.mapInsert(s, slot)
 	for _, j := range w.live {
 		_, _, eff := w.proto.Apply(s, w.states[j])
 		if int(j) != slot {
@@ -474,7 +422,6 @@ func (w *World[S]) freeSlot(slot int) {
 	w.livePos[moved] = pos
 	w.live = w.live[:last]
 	w.livePos[slot] = -1
-	w.mapRemove(w.states[slot])
 	var zero S
 	w.states[slot] = zero
 	w.freeSlots = append(w.freeSlots, slot)
@@ -586,9 +533,7 @@ func (w *World[S]) removeOne(s S) {
 // runs only when the forward probe claims unresponsiveness; a violation in
 // the other direction is still caught when the pair is drawn.
 func (w *World[S]) replaceSlot(slot int, s S) {
-	w.mapRemove(w.states[slot])
 	w.states[slot] = s
-	w.mapInsert(s, slot)
 	w.haltedSlot[slot] = w.proto.Halted(s)
 	if w.mult != nil {
 		// The relabeled slot hosts a newly appearing state class; its rate
@@ -786,7 +731,7 @@ func (w *World[S]) stepBlock(limit int64) (halted, exhausted bool) {
 func (w *World[S]) SetMetrics(m *obs.EngineMetrics) {
 	w.metrics = m
 	w.pubSteps, w.pubEffective = w.steps, w.effective
-	w.pubFault, w.pubFlush = w.faultEvents, w.blockFlushes
+	w.pubFault, w.pubFlush = w.clock.Fired(), w.blockFlushes
 	w.pubRebuilds = w.pairF.Rebuilds()
 	if m != nil {
 		m.Runs.Inc()
@@ -801,15 +746,16 @@ func (w *World[S]) publishMetrics() {
 		return
 	}
 	stepsD, effD := w.steps-w.pubSteps, w.effective-w.pubEffective
+	fault := w.clock.Fired()
 	w.metrics.Steps.Add(stepsD)
 	w.metrics.Effective.Add(effD)
 	w.metrics.Skipped.Add(stepsD - effD)
-	w.metrics.FaultEvents.Add(w.faultEvents - w.pubFault)
+	w.metrics.FaultEvents.Add(fault - w.pubFault)
 	w.metrics.BlockFlushes.Add(w.blockFlushes - w.pubFlush)
 	rb := w.pairF.Rebuilds()
 	w.metrics.AliasRebuilds.Add(rb - w.pubRebuilds)
 	w.pubSteps, w.pubEffective = w.steps, w.effective
-	w.pubFault, w.pubFlush = w.faultEvents, w.blockFlushes
+	w.pubFault, w.pubFlush = fault, w.blockFlushes
 	w.pubRebuilds = rb
 }
 
@@ -882,7 +828,6 @@ func (w *World[S]) applyFaults() {
 		if !ok {
 			return
 		}
-		w.faultEvents++
 		switch ev {
 		case sched.EvCrash:
 			w.poolOne(&w.crashed)

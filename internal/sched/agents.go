@@ -15,38 +15,20 @@ const (
 	flagDeparted = 1 << 2
 )
 
-// Scheduler is the pluggable pair-selection policy. The exact engine
-// calls Pick to draw an interaction pair; the geometric engine — whose
-// pairs come from geometry, not from a draw over ids — consults AllowPair
-// (veto model) and ScaleInter (category re-weighting) instead. All
-// interaction randomness flows through the engine RNG passed in, so the
-// default Uniform policy can reproduce the historical stream and every
-// policy snapshots with the engine.
-type Scheduler interface {
-	// Kind returns the Profile.Scheduler value this policy implements.
-	Kind() string
-	// Pick draws an ordered pair of distinct active agent indices. ok is
-	// false when no pair is currently schedulable (fewer than two active
-	// agents) — the engine then fast-forwards to the next fault event.
-	Pick(a *Agents, rng *wrand.RNG) (i, j int, ok bool)
-	// AllowPair vets a geometry-proposed pair of node indices. A vetoed
-	// pair costs a scheduler step but does not interact.
-	AllowPair(a *Agents, i, j int) bool
-	// ScaleInter rescales the inter-component category weight of the
-	// geometric engine's three-way draw.
-	ScaleInter(a *Agents, w int64) int64
-}
-
 // Agents is the per-run scheduler + fault state of an identity-keeping
 // engine (pop and sim; the urn engine compresses ids away and drives a
-// bare Clock instead). It tracks each agent's fault flags, maintains the
-// weighted eligibility structures the Scheduler implementations sample
-// from, and owns the fault Clock. Agent indices are the engine's own
-// indices: stable, append-only under arrivals, flagged (never compacted)
-// under departures.
+// bare Clock instead). It is the one place that decides how the profile's
+// policy picks, vetoes and re-weights pairs (Pick for the exact engine;
+// AllowPair and ScaleInter for the geometric engine, whose pairs come from
+// geometry), and how a fault event changes an agent. It tracks each
+// agent's fault flags, maintains the weighted eligibility structures the
+// policies sample from, and owns the fault Clock. All interaction
+// randomness flows through the engine RNG passed to Pick, so every policy
+// snapshots with the engine. Agent indices are the engine's own indices:
+// stable, append-only under arrivals, flagged (never compacted) under
+// departures.
 type Agents struct {
 	prof  Profile
-	sch   Scheduler
 	clock *Clock // nil when the profile has no fault rates
 
 	founders int // founding population size
@@ -81,40 +63,20 @@ func NewAgents(p Profile, n int, engineSeed int64) *Agents {
 		present:  n,
 		active:   n,
 	}
-	switch p.Scheduler {
-	case KindWeighted:
-		a.sch = weighted{}
-	case KindClustered:
-		a.sch = clustered{}
-	case KindAdversarialDelay:
-		a.sch = adversarial{}
-		a.starvedN = int(int64(n) * p.StarvePct / 100)
-		if a.starvedN < 1 {
-			a.starvedN = 1
-		}
-		if a.starvedN > n {
-			a.starvedN = n
-		}
+	if p.Scheduler == KindAdversarialDelay {
+		a.starvedN = min(max(int(int64(n)*p.StarvePct/100), 1), n)
 		a.stW = wrand.NewFenwick(a.starvedN)
 		a.activeStarved = a.starvedN
-	default:
-		a.sch = uniform{}
 	}
 	a.actW = wrand.NewFenwick(n)
 	for k := 0; k < n; k++ {
-		a.weightFen(k).Set(a.fenIdx(k), a.rate(k))
+		a.weightFen(k).Set(k, a.rate(k))
 	}
 	if p.HasFaults() {
 		a.clock = NewClock(p, engineSeed)
 	}
 	return a
 }
-
-// Profile returns the normalized profile the state was built from.
-func (a *Agents) Profile() Profile { return a.prof }
-
-// Kind returns the active scheduler kind.
-func (a *Agents) Kind() string { return a.sch.Kind() }
 
 // rate returns agent k's pick weight: its activity rate under the
 // weighted scheduler, 1 otherwise.
@@ -129,15 +91,13 @@ func (a *Agents) rate(k int) int64 {
 func (a *Agents) starved(k int) bool { return k < a.starvedN && a.stW != nil }
 
 // weightFen returns the Fenwick tree holding agent k's eligibility
-// weight, and fenIdx k's slot in it.
+// weight, at index k.
 func (a *Agents) weightFen(k int) *wrand.Fenwick {
 	if a.starved(k) {
 		return a.stW
 	}
 	return a.actW
 }
-
-func (a *Agents) fenIdx(k int) int { return k }
 
 // Len returns the number of agent indices ever allocated (founders plus
 // arrivals; departures are not compacted).
@@ -155,31 +115,101 @@ func (a *Agents) IsActive(k int) bool { return a.flags[k] == 0 }
 // IsPresent reports whether agent k has not departed.
 func (a *Agents) IsPresent(k int) bool { return a.flags[k]&flagDeparted == 0 }
 
-// Pick draws the next interaction pair via the scheduler policy.
+// Pick draws an ordered pair of distinct active agents under the policy.
+// ok is false when no pair is currently schedulable (fewer than two
+// active agents): the engine then fast-forwards to the next fault event.
+// The uniform and weighted policies draw each agent proportionally to its
+// pick weight (1, or its activity rate), so the pair (i, j) fires with
+// probability proportional to rate_i * rate_j, matching the urn engine's
+// slot-weight multipliers.
 func (a *Agents) Pick(rng *wrand.RNG) (i, j int, ok bool) {
-	return a.sch.Pick(a, rng)
+	switch a.prof.Scheduler {
+	case KindClustered:
+		return a.pickClustered(rng)
+	case KindAdversarialDelay:
+		return a.pickAdversarial(rng)
+	}
+	return samplePair(a.actW, rng)
 }
 
-// AllowPair vets a geometry-proposed pair (both agents must be active,
-// and the policy may veto). Blocked pairs cost a scheduler step.
+// AllowPair vets a geometry-proposed pair of agents: both must be active,
+// and the adversarial-delay policy may veto it (see allowAdversarial). A
+// blocked pair costs a scheduler step but does not interact.
 func (a *Agents) AllowPair(i, j int) bool {
 	if a.flags[i] != 0 || a.flags[j] != 0 {
 		return false
 	}
-	return a.sch.AllowPair(a, i, j)
+	if a.prof.Scheduler == KindAdversarialDelay {
+		return a.allowAdversarial(i, j)
+	}
+	return true
 }
 
 // ScaleInter rescales the geometric engine's inter-component category
-// weight under the active policy.
-func (a *Agents) ScaleInter(w int64) int64 { return a.sch.ScaleInter(a, w) }
+// weight. The clustered policy shrinks it to (100-BiasPct)%, never to 0
+// while it is positive and the bias below 100: component-local
+// interactions are the geometric engine's "blocks". Every other policy
+// leaves it alone.
+func (a *Agents) ScaleInter(w int64) int64 {
+	if a.prof.Scheduler != KindClustered {
+		return w
+	}
+	scaled := w * (100 - a.prof.BiasPct) / 100
+	if scaled < 1 && w > 0 && a.prof.BiasPct < 100 {
+		scaled = 1
+	}
+	return scaled
+}
 
-// NextDue drains the fault clock: it pops the earliest fault event due at
-// or before step, ok=false when none (or no clock).
-func (a *Agents) NextDue(step int64) (Event, bool) {
+// faultMoves gives, for each agent-level fault event, the flags its
+// victim must match (f&mask == value) and the flags it moves to. Crashes
+// and freezes target active agents; a departed agent never recovers or
+// thaws.
+var faultMoves = [...]struct{ mask, value, to uint8 }{
+	EvCrash:   {0xff, 0, flagCrashed},
+	EvRecover: {flagCrashed | flagDeparted, flagCrashed, 0},
+	EvFreeze:  {0xff, 0, flagFrozen},
+	EvThaw:    {flagFrozen | flagDeparted, flagFrozen, 0},
+}
+
+// NextChurn drains the fault clock up to step. It applies every due
+// crash, recovery, freeze and thaw itself, each to a uniformly random
+// agent it can affect, and stops at the first due arrival or departure,
+// which it returns for the engine to apply (ArriveOne, DepartOne), since
+// those change the engine's own population. Events come in clock order;
+// ok is false once nothing is due, or without a clock, so callers loop
+// until then.
+func (a *Agents) NextChurn(step int64) (Event, bool) {
 	if a.clock == nil {
 		return 0, false
 	}
-	return a.clock.NextDue(step)
+	for {
+		ev, ok := a.clock.NextDue(step)
+		if !ok || ev == EvArrive || ev == EvDepart {
+			return ev, ok
+		}
+		a.fault(ev)
+	}
+}
+
+// fault applies one crash, recovery, freeze or thaw: the victim, or
+// ok=false when no agent qualifies.
+func (a *Agents) fault(ev Event) (int, bool) {
+	m := faultMoves[ev]
+	k, ok := a.pickVictim(m.mask, m.value, nil)
+	if ok {
+		a.setFlags(k, m.to)
+	}
+	return k, ok
+}
+
+// FaultEvents returns how many fault events the clock has delivered to
+// this Agents (see Clock.Fired); 0 on a nil Agents.
+func (a *Agents) FaultEvents() int64 {
+	if a == nil {
+		return 0
+	}
+	return a.clock.Fired()
 }
 
 // NextPending returns the earliest scheduled fault-event time, or a
@@ -208,7 +238,7 @@ func (a *Agents) setFlags(k int, f uint8) {
 		} else {
 			a.active--
 		}
-		a.weightFen(k).Set(a.fenIdx(k), w)
+		a.weightFen(k).Set(k, w)
 		if a.starved(k) {
 			if isActive {
 				a.activeStarved++
@@ -222,12 +252,15 @@ func (a *Agents) setFlags(k int, f uint8) {
 	}
 }
 
-// pickVictim draws a uniformly random agent among those whose flags
-// satisfy want (mask/value), using the fault RNG. ok=false when none do.
-func (a *Agents) pickVictim(mask, value uint8) (int, bool) {
+// pickVictim draws, with the fault RNG, a uniformly random agent among
+// those whose flags f satisfy f&mask == value and, unless eligible is nil,
+// eligible(k). It asks eligible only about agents that pass the flag test,
+// walking them in ascending index order. ok=false when none qualifies, in
+// which case nothing is drawn.
+func (a *Agents) pickVictim(mask, value uint8, eligible func(int) bool) (int, bool) {
 	m := 0
-	for _, f := range a.flags {
-		if f&mask == value {
+	for k, f := range a.flags {
+		if f&mask == value && (eligible == nil || eligible(k)) {
 			m++
 		}
 	}
@@ -236,7 +269,7 @@ func (a *Agents) pickVictim(mask, value uint8) (int, bool) {
 	}
 	r := a.clock.RNG().Intn(m)
 	for k, f := range a.flags {
-		if f&mask == value {
+		if f&mask == value && (eligible == nil || eligible(k)) {
 			if r == 0 {
 				return k, true
 			}
@@ -244,44 +277,6 @@ func (a *Agents) pickVictim(mask, value uint8) (int, bool) {
 		}
 	}
 	panic("sched: victim scan out of sync")
-}
-
-// CrashOne crashes one uniformly random active agent (crash-stop unless a
-// recovery clock runs). Returns the victim, ok=false when no agent is
-// crashable.
-func (a *Agents) CrashOne() (int, bool) {
-	k, ok := a.pickVictim(0xff, 0)
-	if ok {
-		a.setFlags(k, flagCrashed)
-	}
-	return k, ok
-}
-
-// RecoverOne revives one uniformly random crashed agent.
-func (a *Agents) RecoverOne() (int, bool) {
-	k, ok := a.pickVictim(flagCrashed|flagDeparted, flagCrashed)
-	if ok {
-		a.setFlags(k, 0)
-	}
-	return k, ok
-}
-
-// FreezeOne freezes one uniformly random active agent.
-func (a *Agents) FreezeOne() (int, bool) {
-	k, ok := a.pickVictim(0xff, 0)
-	if ok {
-		a.setFlags(k, flagFrozen)
-	}
-	return k, ok
-}
-
-// ThawOne unfreezes one uniformly random frozen agent.
-func (a *Agents) ThawOne() (int, bool) {
-	k, ok := a.pickVictim(flagFrozen|flagDeparted, flagFrozen)
-	if ok {
-		a.setFlags(k, 0)
-	}
-	return k, ok
 }
 
 // ArriveOne allocates the next agent index for an arrival (the engine
@@ -296,29 +291,18 @@ func (a *Agents) ArriveOne() int {
 	return k
 }
 
-// DepartOne removes one uniformly random present agent for good. The
-// engine adjusts its own census (e.g. halted counts) for the victim.
-func (a *Agents) DepartOne() (int, bool) {
-	k, ok := a.pickVictim(flagDeparted, 0)
+// DepartOne removes one uniformly random present agent for good, among
+// those eligible admits (nil admits every present agent; the geometric
+// engine admits only free singleton nodes, since a node bonded into a
+// rigid body cannot drift out of the solution). It returns the victim,
+// ok=false when none qualifies; the engine adjusts its own census (e.g.
+// halted counts) for it.
+func (a *Agents) DepartOne(eligible func(int) bool) (int, bool) {
+	k, ok := a.pickVictim(flagDeparted, 0, eligible)
 	if ok {
 		a.setFlags(k, a.flags[k]|flagDeparted)
 	}
 	return k, ok
-}
-
-// DepartID departs a specific agent the engine chose itself (the
-// geometric engine constrains departures to free singleton nodes).
-func (a *Agents) DepartID(k int) {
-	a.setFlags(k, a.flags[k]|flagDeparted)
-}
-
-// FaultRNG exposes the fault-stream RNG for engine-side victim selection
-// (nil when the profile has no fault rates).
-func (a *Agents) FaultRNG() *wrand.RNG {
-	if a.clock == nil {
-		return nil
-	}
-	return a.clock.RNG()
 }
 
 // AgentsState is the serializable scheduler/fault state of a run.
@@ -371,7 +355,7 @@ func (a *Agents) RestoreState(s *AgentsState, step int64) error {
 		}
 		if f == 0 {
 			a.active++
-			a.weightFen(k).Set(a.fenIdx(k), a.rate(k))
+			a.weightFen(k).Set(k, a.rate(k))
 			if a.starved(k) {
 				a.activeStarved++
 			}
@@ -402,45 +386,11 @@ func samplePair(f *wrand.Fenwick, rng *wrand.RNG) (int, int, bool) {
 	return i, j, true
 }
 
-// uniform is the default policy: every active ordered pair is equally
-// likely, and geometry-proposed pairs are never vetoed. (With a nil
-// profile the engines bypass the scheduler layer entirely and keep their
-// historical, byte-identical draw.)
-type uniform struct{}
-
-func (uniform) Kind() string { return KindUniform }
-
-func (uniform) Pick(a *Agents, rng *wrand.RNG) (int, int, bool) {
-	return samplePair(a.actW, rng)
-}
-
-func (uniform) AllowPair(*Agents, int, int) bool    { return true }
-func (uniform) ScaleInter(_ *Agents, w int64) int64 { return w }
-
-// weighted picks each agent proportionally to its activity rate, so the
-// pair (i, j) fires with probability proportional to rate_i * rate_j —
-// matching the urn engine's slot-weight-multiplier formulation.
-type weighted struct{}
-
-func (weighted) Kind() string { return KindWeighted }
-
-func (weighted) Pick(a *Agents, rng *wrand.RNG) (int, int, bool) {
-	return samplePair(a.actW, rng)
-}
-
-func (weighted) AllowPair(*Agents, int, int) bool    { return true }
-func (weighted) ScaleInter(_ *Agents, w int64) int64 { return w }
-
-// clustered prefers block-local partners: the initiator is uniform among
-// active agents, and with probability BiasPct the responder is drawn from
-// the initiator's block (falling back to global when the block has no
-// other active agent). On the geometric engine the same preference is
-// expressed by scaling down the inter-component category weight.
-type clustered struct{}
-
-func (clustered) Kind() string { return KindClustered }
-
-func (c clustered) Pick(a *Agents, rng *wrand.RNG) (int, int, bool) {
+// pickClustered prefers block-local partners: the initiator is uniform
+// among active agents, and with probability BiasPct the responder is
+// drawn from the initiator's block (falling back to global when the block
+// has no other active agent).
+func (a *Agents) pickClustered(rng *wrand.RNG) (int, int, bool) {
 	i, ok := a.actW.Sample(rng)
 	if !ok {
 		return 0, 0, false
@@ -480,29 +430,13 @@ func (c clustered) Pick(a *Agents, rng *wrand.RNG) (int, int, bool) {
 	return i, j, true
 }
 
-func (clustered) AllowPair(*Agents, int, int) bool { return true }
-
-// ScaleInter shrinks the inter-component weight to (100-BiasPct)% —
-// component-local interactions are the geometric engine's "blocks".
-func (clustered) ScaleInter(a *Agents, w int64) int64 {
-	scaled := w * (100 - a.prof.BiasPct) / 100
-	if scaled < 1 && w > 0 && a.prof.BiasPct < 100 {
-		scaled = 1
-	}
-	return scaled
-}
-
-// adversarial starves the founding id prefix: normal picks exclude it
+// pickAdversarial starves the founding id prefix: normal picks exclude it
 // entirely, and only when the starved set has gone FairnessBound steps
 // unserved (or no starvation-free pair exists) is the adversary forced to
 // schedule a starved agent. This is the weakest scheduler the weak
 // fairness assumption admits — the sweep that shows which termination
 // guarantees survive it.
-type adversarial struct{}
-
-func (adversarial) Kind() string { return KindAdversarialDelay }
-
-func (adversarial) Pick(a *Agents, rng *wrand.RNG) (int, int, bool) {
+func (a *Agents) pickAdversarial(rng *wrand.RNG) (int, int, bool) {
 	activeOther := a.active - a.activeStarved
 	forced := a.sinceService >= a.prof.FairnessBound && a.activeStarved > 0
 	if !forced && activeOther >= 2 {
@@ -536,9 +470,9 @@ func (adversarial) Pick(a *Agents, rng *wrand.RNG) (int, int, bool) {
 	return i, j, true
 }
 
-// AllowPair is the veto form: pairs touching the starved set are blocked
-// until the fairness bound forces service.
-func (adversarial) AllowPair(a *Agents, i, j int) bool {
+// allowAdversarial is the adversary's veto form: pairs touching the
+// starved set are blocked until the fairness bound forces service.
+func (a *Agents) allowAdversarial(i, j int) bool {
 	if !a.starved(i) && !a.starved(j) {
 		a.sinceService++
 		return true
@@ -550,5 +484,3 @@ func (adversarial) AllowPair(a *Agents, i, j int) bool {
 	a.sinceService++
 	return false
 }
-
-func (adversarial) ScaleInter(_ *Agents, w int64) int64 { return w }

@@ -60,6 +60,10 @@ type Clock struct {
 	maxChurn   int64
 	rng        *wrand.RNG
 	next       [numEvents]int64
+	// fired counts the events NextDue delivered. It is not ClockState: a
+	// restored clock counts from zero, so a resumed run's metrics publish
+	// only the events it delivered itself.
+	fired int64
 }
 
 // NewClock builds the fault clock of a run. engineSeed derives the fault
@@ -123,6 +127,7 @@ func (c *Clock) NextDue(step int64) (Event, bool) {
 		return 0, false
 	}
 	c.next[best] += c.gap(best)
+	c.fired++
 	switch best {
 	case EvCrash:
 		if c.maxCrashes > 0 {
@@ -174,6 +179,16 @@ func (c *Clock) Backlog(step int64) int64 {
 		}
 	}
 	return worst
+}
+
+// Fired returns how many events NextDue has delivered since the clock
+// was built (restoring a state does not carry the count over); 0 on a
+// nil clock.
+func (c *Clock) Fired() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.fired
 }
 
 // RNG exposes the fault stream's generator for victim selection: which

@@ -6,12 +6,13 @@
 //
 // Two ideas compose:
 //
-//   - A Scheduler is the pair-selection policy. Uniform is the default
-//     and reproduces the engines' historical RNG stream byte-for-byte (a
-//     nil or zero Profile never touches the hot path at all). Weighted
-//     gives agents individual activity rates, Clustered prefers
-//     block-local partners, and AdversarialDelay starves a chosen agent
-//     set for up to a fairness bound before being forced to serve it.
+//   - Profile.Scheduler names the pair-selection policy, and Agents
+//     dispatches on it directly. Uniform is the default (a nil or zero
+//     Profile never touches the hot path at all, so the engines keep
+//     their historical RNG stream byte for byte). Weighted gives agents
+//     individual activity rates, Clustered prefers block-local partners,
+//     and AdversarialDelay starves a chosen agent set for up to a
+//     fairness bound before being forced to serve it.
 //
 //   - A fault model layers on top, following the fair_cons crash-budget
 //     shape: crash-stop and crash-recovery agents, "frozen"
@@ -27,7 +28,7 @@
 //
 // Not every engine expresses every policy. The exact engine
 // (internal/pop) keeps agent identities and is the reference: all four
-// schedulers and all fault kinds. The urn engine compresses identities
+// policies and all fault kinds. The urn engine compresses identities
 // into state counts, so Weighted becomes slot-weight multipliers on its
 // samplers (activity rates attach to state classes in order of first
 // appearance, not to agent ids) and Clustered/AdversarialDelay — which
@@ -44,7 +45,6 @@ package sched
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 )
 
@@ -68,8 +68,8 @@ const (
 // Profile is the wire-format scheduler + fault configuration of one run.
 // The zero value (or a profile that normalizes to it) means "the default
 // uniform scheduler, no faults" and leaves the engines' historical code
-// paths untouched. All fields are integers so profiles hash canonically
-// into the job cache key.
+// paths untouched. A normalized profile's JSON is part of the job cache
+// key, so equal profiles key equally.
 type Profile struct {
 	// Scheduler selects the pair-selection policy: "uniform" (default),
 	// "weighted", "clustered" or "adversarial-delay".
@@ -325,38 +325,6 @@ func (p Profile) Normalize(engine string, n int) (Profile, error) {
 		return p, &ValidationError{Fields: errs}
 	}
 	return p, nil
-}
-
-// Key renders the normalized profile as a canonical cache-key fragment:
-// every field in fixed order, so equal profiles render equal bytes.
-func (p Profile) Key() string {
-	var sb strings.Builder
-	sb.WriteString("sched=")
-	sb.WriteString(p.Scheduler)
-	sb.WriteString(";rates=")
-	for i, r := range p.Rates {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		sb.WriteString(strconv.FormatInt(r, 10))
-	}
-	for _, f := range []struct {
-		name string
-		v    int64
-	}{
-		{"block", p.BlockSize}, {"bias", p.BiasPct}, {"starve", p.StarvePct},
-		{"fair", p.FairnessBound}, {"fseed", p.FaultSeed},
-		{"crash", p.CrashEvery}, {"maxcrash", p.MaxCrashes},
-		{"recover", p.RecoverEvery}, {"freeze", p.FreezeEvery},
-		{"thaw", p.ThawEvery}, {"arrive", p.ArriveEvery},
-		{"depart", p.DepartEvery}, {"maxchurn", p.MaxChurn},
-	} {
-		sb.WriteByte(';')
-		sb.WriteString(f.name)
-		sb.WriteByte('=')
-		sb.WriteString(strconv.FormatInt(f.v, 10))
-	}
-	return sb.String()
 }
 
 // FieldSpec describes one Profile field for API discovery (the daemon's

@@ -3,6 +3,7 @@ package sched
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -149,24 +150,6 @@ func TestNormalizeRateBounds(t *testing.T) {
 	}
 	if _, err := (Profile{Scheduler: KindWeighted, Rates: []int64{1000}}).Normalize(EnginePop, 4_000_000); err != nil {
 		t.Fatalf("pop has no mass bound: %v", err)
-	}
-}
-
-func TestKeyCanonical(t *testing.T) {
-	a, err := Profile{Scheduler: KindWeighted, Rates: []int64{1, 3}, CrashEvery: 100}.Normalize(EnginePop, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Profile{Scheduler: KindWeighted, Rates: []int64{1, 3}, CrashEvery: 100}.Normalize(EnginePop, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Key() != b.Key() {
-		t.Fatalf("equal profiles render different keys:\n%s\n%s", a.Key(), b.Key())
-	}
-	c, _ := Profile{Scheduler: KindWeighted, Rates: []int64{3, 1}, CrashEvery: 100}.Normalize(EnginePop, 10)
-	if a.Key() == c.Key() {
-		t.Fatalf("different rates render the same key: %s", a.Key())
 	}
 }
 
@@ -321,36 +304,38 @@ func TestAgentsFaultCensus(t *testing.T) {
 	if a.Active() != 8 || a.Present() != 8 {
 		t.Fatalf("initial census %d/%d, want 8/8", a.Active(), a.Present())
 	}
-	k, ok := a.CrashOne()
+	k, ok := a.fault(EvCrash)
 	if !ok || a.IsActive(k) || a.Active() != 7 || a.Present() != 8 {
 		t.Fatalf("after crash of %d: active=%d present=%d", k, a.Active(), a.Present())
 	}
-	r, ok := a.RecoverOne()
+	r, ok := a.fault(EvRecover)
 	if !ok || r != k || !a.IsActive(k) || a.Active() != 8 {
 		t.Fatalf("recover got %d (ok=%v), want %d", r, ok, k)
 	}
-	f, ok := a.FreezeOne()
+	f, ok := a.fault(EvFreeze)
 	if !ok || a.IsActive(f) {
 		t.Fatalf("freeze failed")
 	}
-	if th, ok := a.ThawOne(); !ok || th != f {
+	if th, ok := a.fault(EvThaw); !ok || th != f {
 		t.Fatalf("thaw got %d, want %d", th, f)
 	}
 	nw := a.ArriveOne()
 	if nw != 8 || a.Len() != 9 || a.Active() != 9 || a.Present() != 9 {
 		t.Fatalf("arrival: idx=%d len=%d active=%d present=%d", nw, a.Len(), a.Active(), a.Present())
 	}
-	d, ok := a.DepartOne()
+	d, ok := a.DepartOne(nil)
 	if !ok || a.IsPresent(d) || a.Present() != 8 {
 		t.Fatalf("depart: %d present=%d", d, a.Present())
 	}
 	// A departed agent never recovers, thaws, or departs again.
 	a2 := NewAgents(p, 1, 1)
-	a2.DepartID(0)
-	if _, ok := a2.DepartOne(); ok {
+	if d, ok := a2.DepartOne(nil); !ok || d != 0 {
+		t.Fatalf("lone agent did not depart: %d, %v", d, ok)
+	}
+	if _, ok := a2.DepartOne(nil); ok {
 		t.Fatal("departed agent departed again")
 	}
-	if _, ok := a2.CrashOne(); ok {
+	if _, ok := a2.fault(EvCrash); ok {
 		t.Fatal("departed agent crashed")
 	}
 }
@@ -491,16 +476,16 @@ func TestScaleInter(t *testing.T) {
 
 func TestAgentsStateRoundTrip(t *testing.T) {
 	p, err := Profile{Scheduler: KindAdversarialDelay, StarvePct: 20, FairnessBound: 100,
-		CrashEvery: 30, ArriveEvery: 40}.Normalize(EnginePop, 10)
+		CrashEvery: 30, RecoverEvery: 50, ArriveEvery: 40, DepartEvery: 70}.Normalize(EnginePop, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	a := NewAgents(p, 10, 3)
 	rng := wrand.NewRNG(4)
 	// Disturb the state: faults plus fairness progress.
-	a.CrashOne()
+	a.fault(EvCrash)
 	a.ArriveOne()
-	a.DepartOne()
+	a.DepartOne(nil)
 	for i := 0; i < 25; i++ {
 		a.Pick(rng)
 	}
@@ -517,7 +502,8 @@ func TestAgentsStateRoundTrip(t *testing.T) {
 	if b.sinceService != a.sinceService {
 		t.Fatalf("sinceService %d, want %d", b.sinceService, a.sinceService)
 	}
-	// The two must continue identically: same picks, same fault events.
+	// The two must continue identically: same picks, then the same fault
+	// timeline and the same victims, drain by drain.
 	rngA, rngB := wrand.NewRNG(8), wrand.NewRNG(8)
 	for i := 0; i < 50; i++ {
 		ai, aj, aok := a.Pick(rngA)
@@ -528,20 +514,105 @@ func TestAgentsStateRoundTrip(t *testing.T) {
 	}
 	for step := int64(0); step < 1000; step += 10 {
 		for {
-			evA, okA := a.NextDue(step)
-			evB, okB := b.NextDue(step)
+			evA, okA := a.NextChurn(step)
+			evB, okB := b.NextChurn(step)
 			if okA != okB || evA != evB {
 				t.Fatalf("fault timeline diverged at step %d: (%v,%v) vs (%v,%v)", step, evA, okA, evB, okB)
 			}
 			if !okA {
 				break
 			}
+			if evA == EvArrive {
+				a.ArriveOne()
+				b.ArriveOne()
+			} else {
+				a.DepartOne(nil)
+				b.DepartOne(nil)
+			}
 		}
+		if !slices.Equal(a.flags, b.flags) || a.Active() != b.Active() || a.Present() != b.Present() {
+			t.Fatalf("census diverged after the drain at step %d: flags %v vs %v", step, a.flags, b.flags)
+		}
+	}
+	if a.FaultEvents() == 0 || a.FaultEvents() != b.FaultEvents() {
+		t.Fatalf("fault events %d vs %d, want equal and positive", a.FaultEvents(), b.FaultEvents())
 	}
 	// Mismatched restore target is rejected.
 	c := NewAgents(p, 11, 3)
 	if err := c.RestoreState(st, 0); err == nil {
 		t.Fatal("founders mismatch accepted")
+	}
+}
+
+// TestNextChurnAllocatesNothing pins the drain's cost: applying crashes,
+// recoveries, freezes and thaws, and handing back departures for the
+// engine's eligibility walk, allocates nothing, so the engines can drain
+// on every cadence tick.
+func TestNextChurnAllocatesNothing(t *testing.T) {
+	p, err := Profile{CrashEvery: 3, RecoverEvery: 3, FreezeEvery: 3, ThawEvery: 3,
+		DepartEvery: 40, MaxChurn: 20}.Normalize(EnginePop, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAgents(p, 64, 1)
+	even := func(k int) bool { return k%2 == 0 }
+	var step int64
+	allocs := testing.AllocsPerRun(200, func() {
+		step += 16
+		for {
+			ev, ok := a.NextChurn(step)
+			if !ok {
+				break
+			}
+			if ev == EvDepart {
+				a.DepartOne(even)
+			}
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("a drain allocates %v times, want 0", allocs)
+	}
+	if a.FaultEvents() < 1000 || a.Present() == 64 {
+		t.Fatalf("%d fault events, %d present: the drain did not run", a.FaultEvents(), a.Present())
+	}
+}
+
+// TestDepartOneEligible pins the one victim walk's eligibility rule:
+// DepartOne asks the predicate only about present agents, draws among the
+// ones it admits, and draws nothing when it admits none.
+func TestDepartOneEligible(t *testing.T) {
+	p, err := Profile{DepartEvery: 10}.Normalize(EnginePop, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewAgents(p, 7, 1)
+	gone, ok := a.DepartOne(nil)
+	if !ok || a.IsPresent(gone) {
+		t.Fatal("no present agent departed")
+	}
+	even := func(k int) bool {
+		if !a.IsPresent(k) {
+			t.Fatalf("eligibility asked about departed agent %d", k)
+		}
+		return k%2 == 0
+	}
+	for {
+		before := a.clock.RNG().State()
+		k, ok := a.DepartOne(even)
+		if !ok {
+			if a.clock.RNG().State() != before {
+				t.Fatal("a departure with no eligible agent drew from the fault RNG")
+			}
+			break
+		}
+		if k%2 != 0 || a.IsPresent(k) {
+			t.Fatalf("departed %d (still present: %v), want an even id", k, a.IsPresent(k))
+		}
+	}
+	for k := 0; k < a.Len(); k++ {
+		if want := k%2 == 1 && k != gone; a.IsPresent(k) != want {
+			t.Fatalf("agent %d present=%v after every even id left", k, a.IsPresent(k))
+		}
 	}
 }
 

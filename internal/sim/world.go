@@ -174,7 +174,6 @@ type World[S comparable] struct {
 	// baselines (snapshotted by SetMetrics, so restored step counts are
 	// never re-counted).
 	metrics                                      *obs.EngineMetrics
-	faultEvents                                  int64
 	pubSteps, pubEffective, pubFault, pubSkipped int64
 
 	// agents is the scheduler/fault layer (see internal/sched); nil without
@@ -278,7 +277,7 @@ func (w *World[S]) presentNode(id int) bool {
 // so a resumed run only publishes steps it simulated itself.
 func (w *World[S]) SetMetrics(m *obs.EngineMetrics) {
 	w.metrics = m
-	w.pubSteps, w.pubEffective, w.pubFault = w.steps, w.effective, w.faultEvents
+	w.pubSteps, w.pubEffective, w.pubFault = w.steps, w.effective, w.agents.FaultEvents()
 	w.pubSkipped = w.skipped
 	if m != nil {
 		m.Runs.Inc()
@@ -291,72 +290,48 @@ func (w *World[S]) publishMetrics() {
 	if w.metrics == nil {
 		return
 	}
+	fault := w.agents.FaultEvents()
 	w.metrics.Steps.Add(w.steps - w.pubSteps)
 	w.metrics.Effective.Add(w.effective - w.pubEffective)
 	w.metrics.Skipped.Add(w.skipped - w.pubSkipped)
-	w.metrics.FaultEvents.Add(w.faultEvents - w.pubFault)
-	w.pubSteps, w.pubEffective, w.pubFault = w.steps, w.effective, w.faultEvents
+	w.metrics.FaultEvents.Add(fault - w.pubFault)
+	w.pubSteps, w.pubEffective, w.pubFault = w.steps, w.effective, fault
 	w.pubSkipped = w.skipped
 }
 
 // applyFaults drains every fault event due at the current step. It runs
 // on the CheckEvery cadence (and when the scheduler runs dry), with the
-// world quiescent.
+// world quiescent. The scheduler layer applies crashes, recoveries,
+// freezes and thaws itself; arrivals and departures change the geometry.
 func (w *World[S]) applyFaults() {
 	if w.agents == nil {
 		return
 	}
 	for {
-		ev, ok := w.agents.NextDue(w.steps)
+		ev, ok := w.agents.NextChurn(w.steps)
 		if !ok {
 			return
 		}
-		w.faultEvents++
 		switch ev {
-		case sched.EvCrash:
-			w.agents.CrashOne()
-		case sched.EvRecover:
-			w.agents.RecoverOne()
-		case sched.EvFreeze:
-			w.agents.FreezeOne()
-		case sched.EvThaw:
-			w.agents.ThawOne()
 		case sched.EvArrive:
 			id := w.agents.ArriveOne()
 			w.nodes = append(w.nodes, nodeData[S]{})
 			w.addFreeNode(id, w.proto.InitialState(id, w.n))
 		case sched.EvDepart:
-			w.departOne()
+			// Departures take only free singleton nodes: a node bonded
+			// into a rigid body cannot drift out of the solution. When
+			// every present node is part of a structure the event is
+			// dropped.
+			if id, ok := w.agents.DepartOne(w.lone); ok {
+				nd := &w.nodes[id]
+				w.dropComponent(w.comps[nd.comp])
+				nd.comp = -1
+				if nd.halted {
+					nd.halted = false
+					w.haltedCount--
+				}
+			}
 		}
-	}
-}
-
-// departOne removes one uniformly random free node — departures are
-// constrained to singleton components, since a node bonded into a rigid
-// body cannot drift out of the solution. When every present node is part
-// of a structure the departure event is dropped.
-func (w *World[S]) departOne() {
-	var candidates []int
-	for id := range w.nodes {
-		nd := &w.nodes[id]
-		if !w.presentNode(id) || nd.comp < 0 {
-			continue
-		}
-		if len(w.comps[nd.comp].nodes) == 1 {
-			candidates = append(candidates, id)
-		}
-	}
-	if len(candidates) == 0 {
-		return
-	}
-	id := candidates[w.agents.FaultRNG().Intn(len(candidates))]
-	nd := &w.nodes[id]
-	w.agents.DepartID(id)
-	w.dropComponent(w.comps[nd.comp])
-	nd.comp = -1
-	if nd.halted {
-		nd.halted = false
-		w.haltedCount--
 	}
 }
 
