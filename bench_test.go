@@ -241,6 +241,37 @@ func BenchmarkE18CheckExhaustive(b *testing.B) {
 	}
 }
 
+// BenchmarkShapesMultiBody runs the sim constructions whose skipped runs
+// most often end on a pick between two multi-node bodies, each paying a
+// placement check against the other body's cell table: square-knowing-n at
+// d = 5 and parallel-3d at d = 4, k = 3, the two job kinds that take most
+// of shapes-batch's time. Each iteration is one job through job.Run,
+// seeded 0, 1, ... by iteration, so steps/op is a fixed count for a fixed
+// -benchtime.
+func BenchmarkShapesMultiBody(b *testing.B) {
+	for _, j := range []job.Job{
+		{Protocol: "square-knowing-n", Engine: job.EngineSim, Params: job.Params{D: 5}},
+		{Protocol: "parallel-3d", Engine: job.EngineSim, Params: job.Params{D: 4, K: 3}},
+	} {
+		b.Run(j.Protocol, func(b *testing.B) {
+			b.ReportAllocs()
+			var steps int64
+			for i := 0; i < b.N; i++ {
+				j.Seed = int64(i)
+				res, err := job.Run(context.Background(), j)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if !res.Halted {
+					b.Fatalf("seed %d did not halt: %s", i, res.Reason)
+				}
+				steps += res.Steps
+			}
+			reportSteps(b, steps)
+		})
+	}
+}
+
 // Engine micro-benchmarks: raw scheduler throughput. Both engines report
 // allocs/op so the allocation-free steady state stays visible in every
 // benchmark run. BenchmarkEngineStep times sim's Step, one per-step pick:

@@ -305,6 +305,13 @@ func (a *Agents) DepartOne(eligible func(int) bool) (int, bool) {
 	return k, ok
 }
 
+// possibleFlags reports whether a run can leave an agent with flags f:
+// active, crashed or frozen (never both, since faults strike only active
+// agents), each possibly departed.
+func possibleFlags(f uint8) bool {
+	return f&^(flagCrashed|flagFrozen|flagDeparted) == 0 && f&(flagCrashed|flagFrozen) != flagCrashed|flagFrozen
+}
+
 // AgentsState is the serializable scheduler/fault state of a run.
 type AgentsState struct {
 	Founders     int
@@ -330,8 +337,10 @@ func (a *Agents) State() *AgentsState {
 
 // RestoreState reinstalls an exported state onto agents freshly built
 // (via NewAgents) from the same normalized profile, for a run restored at
-// step, rebuilding the eligibility weights from the flags. The fault
-// clock's state is checked against step (see Clock.SetState).
+// step, rebuilding the eligibility weights from the flags. A flag byte no
+// run produces (an unknown bit, or crashed and frozen together) is
+// rejected, and the fault clock's state is checked against step (see
+// Clock.SetState).
 func (a *Agents) RestoreState(s *AgentsState, step int64) error {
 	if s.Founders != a.founders {
 		return fmt.Errorf("sched: snapshot founders %d, run has %d", s.Founders, a.founders)
@@ -341,6 +350,11 @@ func (a *Agents) RestoreState(s *AgentsState, step int64) error {
 	}
 	if s.HasClock != (a.clock != nil) {
 		return fmt.Errorf("sched: snapshot fault clock presence %v, profile says %v", s.HasClock, a.clock != nil)
+	}
+	for k, f := range s.Flags {
+		if !possibleFlags(f) {
+			return fmt.Errorf("sched: snapshot agent %d has flags %#x, which no run produces", k, f)
+		}
 	}
 	a.flags = append([]uint8(nil), s.Flags...)
 	a.sinceService = s.SinceService

@@ -544,6 +544,40 @@ func TestAgentsStateRoundTrip(t *testing.T) {
 	}
 }
 
+// TestAgentsRestoreRejectsImpossibleFlags pins the flag check of
+// RestoreState: a run leaves each agent active, crashed or frozen, each
+// possibly departed, and nothing else. Before the check, restoring
+// {0x80, crashed|frozen, 0, 0} succeeded with two agents active, and the
+// 0x80 agent sat outside every fault lane for good.
+func TestAgentsRestoreRejectsImpossibleFlags(t *testing.T) {
+	p, err := Profile{CrashEvery: 10, FreezeEvery: 10, DepartEvery: 10}.Normalize(EngineSim, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restore := func(flags ...uint8) error {
+		st := NewAgents(p, 4, 1).State()
+		st.Flags = flags
+		return NewAgents(p, 4, 1).RestoreState(st, 0)
+	}
+	if err := restore(0x80, flagCrashed|flagFrozen, 0, 0); err == nil {
+		t.Fatal("restored an unknown flag bit and crashed|frozen")
+	}
+	for _, f := range []uint8{0x80, 0x08, flagCrashed | flagFrozen, flagCrashed | flagFrozen | flagDeparted} {
+		if err := restore(f, 0, 0, 0); err == nil {
+			t.Errorf("restored flags %#x", f)
+		}
+	}
+	possible := []uint8{0, flagCrashed, flagFrozen, flagDeparted, flagCrashed | flagDeparted, flagFrozen | flagDeparted}
+	for _, f := range possible {
+		if err := restore(f, 0, 0, 0); err != nil {
+			t.Errorf("flags %#x rejected: %v", f, err)
+		}
+	}
+	if err := restore(possible...); err != nil {
+		t.Fatalf("a census of every possible flag byte rejected: %v", err)
+	}
+}
+
 // TestNextChurnAllocatesNothing pins the drain's cost: applying crashes,
 // recoveries, freezes and thaws, and handing back departures for the
 // engine's eligibility walk, allocates nothing, so the engines can drain

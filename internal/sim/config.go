@@ -31,11 +31,15 @@ type Config[S any] struct {
 
 // NewFromConfig builds a world from an explicit initial configuration.
 // Node ids are assigned component by component in specification order,
-// then to the free nodes.
+// then to the free nodes. The configuration must hold fewer than 2^21
+// nodes.
 func NewFromConfig[S comparable](cfg Config[S], proto Protocol[S], opts Options) (*World[S], error) {
 	n := len(cfg.Free)
 	for _, cs := range cfg.Components {
 		n += len(cs.Cells)
+	}
+	if n >= maxNodes {
+		return nil, fmt.Errorf("sim: configuration of %d nodes, want fewer than %d", n, maxNodes)
 	}
 	w := newEmpty(n, proto, opts)
 	id := 0
@@ -71,10 +75,9 @@ func (w *World[S]) addComponentSpec(cs ComponentSpec[S], firstID int) error {
 		for j := range nd.bondedTo {
 			nd.bondedTo[j] = -1
 		}
-		if prev, dup := c.cells[cell.Pos]; dup {
+		if prev, dup := c.cells.add(cell.Pos, id); dup {
 			return fmt.Errorf("cells %d and %d share position %v", prev-firstID, i, cell.Pos)
 		}
-		c.cells[cell.Pos] = id
 		c.nodes = append(c.nodes, id)
 	}
 
@@ -100,8 +103,7 @@ func (w *World[S]) addComponentSpec(cs ComponentSpec[S], firstID int) error {
 			if w.nodes[id].bondedTo[p] >= 0 {
 				continue
 			}
-			f := w.facingCell(id, p)
-			other, ok := c.cells[f]
+			other, ok := c.cells.get(w.facingCell(id, p))
 			if !ok || other < id {
 				continue // unoccupied, or already added from the other side
 			}
@@ -113,7 +115,7 @@ func (w *World[S]) addComponentSpec(cs ComponentSpec[S], firstID int) error {
 	w.rebuildOpen(c)
 
 	// The paper's shapes are bond-connected.
-	if got := len(w.bondSide(c.nodes[0], len(c.nodes))); got != len(c.nodes) {
+	if got := w.bondSide(c.nodes[0]); got != len(c.nodes) {
 		return fmt.Errorf("component not bond-connected (%d of %d reachable)", got, len(c.nodes))
 	}
 	return nil

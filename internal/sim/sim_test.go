@@ -373,8 +373,9 @@ func TestFeasiblePlacementsOverlap(t *testing.T) {
 }
 
 // scanPlacements is the reference of feasibleRotations and placement:
-// every aligning rotation's isometry, kept when no cell of pj's component
-// lands on a cell of pi's.
+// every aligning rotation's isometry, kept when no node of pj's component
+// lands on the position of a node of pi's. It compares positions pair by
+// pair, reading neither component's cell table.
 func scanPlacements[S comparable](w *World[S], pi, pj PortRef) []grid.Isometry {
 	ca := w.comps[w.nodes[pi.Node].comp]
 	cb := w.comps[w.nodes[pj.Node].comp]
@@ -385,9 +386,12 @@ func scanPlacements[S comparable](w *World[S], pi, pj PortRef) []grid.Isometry {
 scan:
 	for _, g := range w.rotsMapping[dB][dA.Opposite()] {
 		iso := grid.Isometry{R: g, T: target.Sub(g.Apply(w.nodes[pj.Node].pos))}
-		for p := range cb.cells {
-			if _, hit := ca.cells[iso.Apply(p)]; hit {
-				continue scan
+		for _, b := range cb.nodes {
+			mapped := iso.Apply(w.nodes[b].pos)
+			for _, a := range ca.nodes {
+				if w.nodes[a].pos == mapped {
+					continue scan
+				}
 			}
 		}
 		out = append(out, iso)
@@ -395,20 +399,27 @@ scan:
 	return out
 }
 
-// TestLoneNodePlacementsMatchScan checks the lone-node shortcut of
-// feasibleRotations against the full collision scan: on random 2D and 3D
-// worlds mid-run, every open-port pair across two components (in both
-// orders, lone or not) must get the same placements, in the same order.
+// TestLoneNodePlacementsMatchScan checks feasibleRotations, its lone-node
+// shortcut and the cell tables behind its placement check against the
+// full collision scan: on random 2D and 3D worlds mid-run, every open-port
+// pair across two components (in both orders, lone or not) must get the
+// same placements, in the same order. The churning worlds grow bodies of
+// at least 8 nodes, whose tables have resized three times, and split them
+// again, so the scan also covers tables that cells were removed from.
 func TestLoneNodePlacementsMatchScan(t *testing.T) {
 	for _, dim := range []int{2, 3} {
-		lone := 0
+		lone, grownThenSplit := 0, int64(0)
 		for seed := int64(0); seed < 8; seed++ {
 			w := New(14, churnProtocol{}, Options{Dim: dim, Seed: seed})
+			splitsWhenGrown := int64(-1)
 			for round := 0; round < 40; round++ {
 				for i := 0; i < 25; i++ {
 					if _, err := w.Step(); err != nil {
 						t.Fatal(err)
 					}
+				}
+				if _, size := w.LargestComponent(); size >= 8 && splitsWhenGrown < 0 {
+					splitsWhenGrown = w.splits
 				}
 				slots := w.ComponentSlots()
 				for _, x := range slots {
@@ -442,9 +453,15 @@ func TestLoneNodePlacementsMatchScan(t *testing.T) {
 					}
 				}
 			}
+			if splitsWhenGrown >= 0 {
+				grownThenSplit += w.splits - splitsWhenGrown
+			}
 		}
 		if lone == 0 {
 			t.Fatalf("dim %d: no lone node met a multi-node component", dim)
+		}
+		if grownThenSplit == 0 {
+			t.Fatalf("dim %d: no body of 8 nodes grew and then split", dim)
 		}
 	}
 }

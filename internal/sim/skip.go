@@ -320,7 +320,7 @@ func (w *World[S]) intraPairAt(c *component, id int, p grid.Dir) (PortPair, bool
 	other := int(w.nodes[id].bondedTo[p])
 	bonded := other >= 0
 	if !bonded {
-		other = c.cells[w.facingCell(id, p)]
+		other, _ = c.cells.get(w.facingCell(id, p))
 	}
 	op := w.portOfWorldDir(other, w.worldDir(id, p).Opposite())
 	return newPortPair(PortRef{Node: id, Port: p}, PortRef{Node: other, Port: op}), bonded

@@ -18,7 +18,7 @@ type NodeMemento[S any] struct {
 }
 
 // ComponentMemento is one rigid component: its slot, its node list and
-// its open-port set, both in engine order. The cell map is derived (each
+// its open-port set, both in engine order. The cell table is derived (each
 // node's position) and rebuilt on restore; the open-port *order* is not
 // derivable — wrand.Set samples by index, so the order is part of the
 // scheduler's sampling state and must round-trip verbatim.
@@ -104,7 +104,7 @@ func (w *World[S]) Memento() *Memento[S] {
 // have been built with the same population size, dimension and protocol;
 // its own options (budget, callbacks, stop conditions) stay in effect.
 // Components, bonds and the order-sensitive sampling sets are installed
-// verbatim; the cell maps, halted tallies and the open-port counts are
+// verbatim; the cell tables, halted tallies and the open-port counts are
 // rebuilt. After a successful restore the World continues the captured
 // trajectory exactly.
 //
@@ -133,6 +133,9 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 	}
 	if len(m.Nodes) != nNodes {
 		return fmt.Errorf("sim: snapshot carries %d nodes, want %d", len(m.Nodes), nNodes)
+	}
+	if nNodes >= maxNodes {
+		return fmt.Errorf("sim: snapshot carries %d nodes, want fewer than %d", nNodes, maxNodes)
 	}
 	for id := range m.Nodes {
 		nm := &m.Nodes[id]
@@ -182,12 +185,8 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 	w.comps = make([]*component, m.NumSlots)
 	w.tickets.reset(m.NumSlots)
 	for _, cm := range m.Comps {
-		c := &component{
-			slot:  cm.Slot,
-			nodes: append([]int(nil), cm.Nodes...),
-			cells: make(map[grid.Pos]int, len(cm.Nodes)),
-			open:  wrand.NewSet[PortRef](),
-		}
+		c := &component{slot: cm.Slot, nodes: append([]int(nil), cm.Nodes...)}
+		c.cells.reserve(len(c.nodes))
 		for _, id := range c.nodes {
 			if id < 0 || id >= nNodes {
 				return fmt.Errorf("sim: snapshot component %d references node %d out of range", cm.Slot, id)
@@ -196,11 +195,12 @@ func (w *World[S]) RestoreMemento(m *Memento[S]) error {
 				return fmt.Errorf("sim: node %d claims component %d but is listed in %d",
 					id, w.nodes[id].comp, cm.Slot)
 			}
-			if prev, dup := c.cells[w.nodes[id].pos]; dup {
+			// Cells 2^21 apart share a packed key; they fail here too,
+			// since no bond-connected body of fewer nodes spans them.
+			if prev, dup := c.cells.add(w.nodes[id].pos, id); dup {
 				return fmt.Errorf("sim: nodes %d and %d share cell %v in component %d",
 					prev, id, w.nodes[id].pos, cm.Slot)
 			}
-			c.cells[w.nodes[id].pos] = id
 		}
 		seenPorts := make(map[PortRef]bool, len(cm.Open))
 		for _, ref := range cm.Open {

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"maps"
 	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"shapesol/internal/grid"
@@ -220,17 +223,94 @@ func fuzzWorld(t testing.TB, faulted bool) *World[int] {
 	return w
 }
 
+// fuzzMemento runs FuzzSimRestore's world for 3000 steps and captures it.
+func fuzzMemento(t testing.TB, faulted bool) *Memento[int] {
+	w := fuzzWorld(t, faulted)
+	w.opts.MaxSteps = 3_000
+	w.Run()
+	return w.Memento()
+}
+
+// hostileCoordinates returns mementos of FuzzSimRestore's bare world with
+// coordinates no saved world has, keyed by what was done to them: two
+// nodes of one body 2^21 apart on an axis, which share a packed cell key;
+// two nodes of one body at +MaxInt64 and -MaxInt64; and a whole body
+// moved to the end of the int range, whose cells wrap around it.
+func hostileCoordinates(t testing.TB) map[string]*Memento[int] {
+	base := fuzzMemento(t, false)
+	body := -1
+	for i, cm := range base.Comps {
+		if len(cm.Nodes) > 1 {
+			body = i
+			break
+		}
+	}
+	if body < 0 {
+		t.Fatal("no multi-node component to move")
+	}
+	a, b := base.Comps[body].Nodes[0], base.Comps[body].Nodes[1]
+	out := map[string]*Memento[int]{}
+	for name, move := range map[string]func(nodes []NodeMemento[int]){
+		"aliasing cells": func(nodes []NodeMemento[int]) {
+			nodes[b].Pos = nodes[a].Pos.Add(grid.Pos{X: maxNodes})
+		},
+		"cells at +-MaxInt64": func(nodes []NodeMemento[int]) {
+			nodes[a].Pos = grid.Pos{X: math.MaxInt64, Y: -math.MaxInt64}
+			nodes[b].Pos = grid.Pos{X: -math.MaxInt64, Y: math.MaxInt64}
+		},
+		"body across the int range's end": func(nodes []NodeMemento[int]) {
+			for _, id := range base.Comps[body].Nodes {
+				nodes[id].Pos = nodes[id].Pos.Add(grid.Pos{X: math.MaxInt64, Y: math.MinInt64})
+			}
+		},
+	} {
+		m := *base
+		m.Nodes = append([]NodeMemento[int](nil), base.Nodes...)
+		move(m.Nodes)
+		out[name] = &m
+	}
+	return out
+}
+
+// TestRestoreHostileCoordinates feeds RestoreMemento cells whose packed
+// keys collide or wrap. Cells of one body 2^21 apart share a key and must
+// fail with the shared-cell error; nodes of one body at the two ends of
+// the int range are not bonded to each other and must fail Validate. A
+// body moved rigidly across the end of the int range is consistent under
+// the engine's wrapping arithmetic, and its keys wrap with it: it restores
+// and keeps stepping, and stays valid.
+func TestRestoreHostileCoordinates(t *testing.T) {
+	ms := hostileCoordinates(t)
+	err := fuzzWorld(t, false).RestoreMemento(ms["aliasing cells"])
+	if err == nil || !strings.Contains(err.Error(), "share cell") {
+		t.Errorf("aliasing cells: restore returned %v, want the shared-cell error", err)
+	}
+	if err := fuzzWorld(t, false).RestoreMemento(ms["cells at +-MaxInt64"]); err == nil {
+		t.Error("cells at +-MaxInt64: restore accepted the memento")
+	}
+	w := fuzzWorld(t, false)
+	if err := w.RestoreMemento(ms["body across the int range's end"]); err != nil {
+		t.Fatalf("a rigidly moved body was rejected: %v", err)
+	}
+	ValidateEachEffective(w, func(err error) { t.Fatalf("moved body: %v", err) })
+	w.opts.MaxSteps = w.steps + 20_000
+	w.Run()
+}
+
 // FuzzSimRestore feeds hostile engine state to RestoreMemento, as the
 // daemon does when it resumes an uploaded snapshot: the gob payload of a
-// captured memento (one bare, one taken mid-run under crash and churn),
-// mutated. RestoreMemento must either return an error or leave a world
-// that passes Validate and takes 1000 steps without panicking.
+// captured memento (one bare, one taken mid-run under crash and churn, and
+// the bare one's hostile-coordinate variants), mutated. RestoreMemento
+// must either return an error or leave a world that passes Validate and
+// takes 1000 steps without panicking.
 func FuzzSimRestore(f *testing.F) {
-	for _, faulted := range []bool{false, true} {
-		w := fuzzWorld(f, faulted)
-		w.opts.MaxSteps = 3_000
-		w.Run()
-		data, err := snap.EncodeState(w.Memento())
+	seeds := []*Memento[int]{fuzzMemento(f, false), fuzzMemento(f, true)}
+	hostile := hostileCoordinates(f)
+	for _, name := range slices.Sorted(maps.Keys(hostile)) {
+		seeds = append(seeds, hostile[name])
+	}
+	for _, m := range seeds {
+		data, err := snap.EncodeState(m)
 		if err != nil {
 			f.Fatal(err)
 		}

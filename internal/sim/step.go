@@ -139,12 +139,11 @@ func (w *World[S]) placement(pi, pj PortRef, g grid.Rot) grid.Isometry {
 
 // placementFree reports whether mapping component b through iso collides
 // with component a. It walks the smaller side's node slice and looks each
-// mapped position up in the other side's cells (ranging over a cells map
-// instead would seed a runtime random draw per call).
+// mapped position up in the other side's cell table.
 func (w *World[S]) placementFree(a, b *component, iso grid.Isometry) bool {
 	if len(b.nodes) <= len(a.nodes) {
 		for _, id := range b.nodes {
-			if _, hit := a.cells[iso.Apply(w.nodes[id].pos)]; hit {
+			if a.cells.has(iso.Apply(w.nodes[id].pos)) {
 				return false
 			}
 		}
@@ -152,7 +151,7 @@ func (w *World[S]) placementFree(a, b *component, iso grid.Isometry) bool {
 	}
 	inv := iso.Inverse()
 	for _, id := range a.nodes {
-		if _, hit := b.cells[inv.Apply(w.nodes[id].pos)]; hit {
+		if b.cells.has(inv.Apply(w.nodes[id].pos)) {
 			return false
 		}
 	}
@@ -273,8 +272,8 @@ func (w *World[S]) deactivate(pp PortPair) bool {
 	w.nodes[pp.B.Node].bondedTo[pp.B.Port] = -1
 
 	c := w.comps[w.nodes[pp.A.Node].comp]
-	side := w.bondSide(pp.A.Node, len(c.nodes))
-	if side[pp.B.Node] {
+	side := w.bondSide(pp.A.Node)
+	if w.marked(pp.B.Node) {
 		// Still connected: the cells remain adjacent, so the pair becomes
 		// latent.
 		w.latent.Add(pp)
@@ -290,47 +289,62 @@ func (w *World[S]) deactivate(pp PortPair) bool {
 	return true
 }
 
-// bondSide collects the nodes reachable from start through active bonds.
-func (w *World[S]) bondSide(start, sizeHint int) map[int]bool {
-	seen := make(map[int]bool, sizeHint)
-	seen[start] = true
-	queue := []int{start}
-	for len(queue) > 0 {
-		id := queue[0]
-		queue = queue[1:]
-		for _, other := range w.nodes[id].bondedTo {
-			if other >= 0 && !seen[int(other)] {
-				seen[int(other)] = true
+// newMark starts a new marking: no node is marked until mark sets it.
+func (w *World[S]) newMark() {
+	if len(w.mark) < len(w.nodes) {
+		w.mark = make([]uint32, len(w.nodes)+len(w.nodes)/4)
+	}
+	if w.epoch++; w.epoch == 0 {
+		clear(w.mark)
+		w.epoch = 1
+	}
+}
+
+// marked reports whether node id is marked in the current marking.
+func (w *World[S]) marked(id int) bool { return w.mark[id] == w.epoch }
+
+// bondSide marks the nodes reachable from start through active bonds, in
+// a new marking, and returns their number.
+func (w *World[S]) bondSide(start int) int {
+	w.newMark()
+	w.mark[start] = w.epoch
+	queue := append(w.queue[:0], start)
+	for i := 0; i < len(queue); i++ {
+		for _, other := range w.nodes[queue[i]].bondedTo {
+			if other >= 0 && !w.marked(int(other)) {
+				w.mark[other] = w.epoch
 				queue = append(queue, int(other))
 			}
 		}
 	}
-	return seen
+	w.queue = queue
+	return len(queue)
 }
 
-// split moves the given side of component c into a fresh component. All
+// split cuts component c in two along the marking of its side nodes
+// that bondSide left, moving the smaller part into a fresh component. All
 // latent pairs crossing the cut disappear: the two bodies are no longer
 // held together, so their relative placement is forgotten.
 //
-// Iteration is over node slices, never maps, so that the mutation order of
-// the sampling sets — and therefore the whole run — is reproducible from
-// the seed.
-func (w *World[S]) split(c *component, side map[int]bool) {
+// Iteration is over node slices, never a table's storage, so that the
+// mutation order of the sampling sets — and therefore the whole run — is
+// reproducible from the seed.
+func (w *World[S]) split(c *component, side int) {
 	w.splits++
 	if w.book != nil {
 		w.book.countComp(c, -1)
 	}
 	// Move the smaller set for efficiency.
-	moveSide := len(side) <= len(c.nodes)/2
+	moveSide := side <= len(c.nodes)/2
 
 	nc := w.newComponent()
 	remaining := c.nodes[:0]
 	for _, id := range c.nodes {
-		if side[id] == moveSide {
+		if w.marked(id) == moveSide {
 			nc.nodes = append(nc.nodes, id)
 			w.nodes[id].comp = nc.slot
-			delete(c.cells, w.nodes[id].pos)
-			nc.cells[w.nodes[id].pos] = id
+			c.cells.remove(w.nodes[id].pos)
+			nc.cells.add(w.nodes[id].pos, id)
 		} else {
 			remaining = append(remaining, id)
 		}
@@ -345,8 +359,7 @@ func (w *World[S]) split(c *component, side map[int]bool) {
 			if w.nodes[id].bondedTo[p] >= 0 {
 				continue
 			}
-			f := w.facingCell(id, p)
-			other, ok := c.cells[f]
+			other, ok := c.cells.get(w.facingCell(id, p))
 			if !ok {
 				continue
 			}
@@ -384,7 +397,7 @@ func (w *World[S]) merge(pi, pj PortRef, iso grid.Isometry) {
 	w.merges++
 	dst := w.comps[w.nodes[pi.Node].comp]
 	src := w.comps[w.nodes[pj.Node].comp]
-	if len(src.cells) > len(dst.cells) {
+	if len(src.nodes) > len(dst.nodes) {
 		// Transform the smaller body: merge dst into src through the
 		// inverse placement, swapping roles.
 		dst, src = src, dst
@@ -392,9 +405,11 @@ func (w *World[S]) merge(pi, pj PortRef, iso grid.Isometry) {
 		iso = iso.Inverse()
 	}
 
-	incoming := make(map[int]bool, len(src.nodes))
+	// The incoming body's nodes are marked, telling its internal pairs
+	// from the seam's.
+	w.newMark()
 	for _, id := range src.nodes {
-		incoming[id] = true
+		w.mark[id] = w.epoch
 	}
 	// The skip book's class counts follow the open ports: the incoming
 	// body's leave with it and come back as the merged body's, and the
@@ -410,15 +425,15 @@ func (w *World[S]) merge(pi, pj PortRef, iso grid.Isometry) {
 	countSeam := b != nil && !dstLone
 
 	// Re-pose the incoming nodes in dst's frame.
+	dst.cells.reserve(len(dst.nodes) + len(src.nodes))
 	for _, id := range src.nodes {
 		nd := &w.nodes[id]
 		nd.pos = iso.Apply(nd.pos)
 		nd.rot = iso.R.Compose(nd.rot)
 		nd.comp = dst.slot
-		if prev, clash := dst.cells[nd.pos]; clash {
+		if prev, clash := dst.cells.add(nd.pos, id); clash {
 			panic(fmt.Sprintf("sim: merge collision at %v between nodes %d and %d", nd.pos, prev, id))
 		}
-		dst.cells[nd.pos] = id
 		dst.nodes = append(dst.nodes, id)
 	}
 
@@ -428,8 +443,7 @@ func (w *World[S]) merge(pi, pj PortRef, iso grid.Isometry) {
 	for _, id := range src.nodes {
 		for _, p := range w.ports {
 			ref := PortRef{Node: id, Port: p}
-			f := w.facingCell(id, p)
-			other, occupied := dst.cells[f]
+			other, occupied := dst.cells.get(w.facingCell(id, p))
 			if !occupied {
 				dst.open.Add(ref)
 				if countSeam {
@@ -438,7 +452,7 @@ func (w *World[S]) merge(pi, pj PortRef, iso grid.Isometry) {
 				continue
 			}
 			dst.open.Remove(ref)
-			if incoming[other] {
+			if w.marked(other) {
 				continue // internal pair of the incoming body: already tracked
 			}
 			// New seam pair with a node of the original dst side.

@@ -29,8 +29,8 @@ func (w *World[S]) Validate() error {
 		if len(c.nodes) == 0 {
 			return fmt.Errorf("slot %d: empty component", slot)
 		}
-		if len(c.cells) != len(c.nodes) {
-			return fmt.Errorf("slot %d: %d cells vs %d nodes", slot, len(c.cells), len(c.nodes))
+		if c.cells.n != len(c.nodes) {
+			return fmt.Errorf("slot %d: %d cells vs %d nodes", slot, c.cells.n, len(c.nodes))
 		}
 		liveNodes += len(c.nodes)
 		for _, id := range c.nodes {
@@ -40,7 +40,7 @@ func (w *World[S]) Validate() error {
 			if w.nodes[id].comp != slot {
 				return fmt.Errorf("node %d comp=%d but listed in slot %d", id, w.nodes[id].comp, slot)
 			}
-			if got, ok := c.cells[w.nodes[id].pos]; !ok || got != id {
+			if got, ok := c.cells.get(w.nodes[id].pos); !ok || got != id {
 				return fmt.Errorf("node %d not at its cell %v", id, w.nodes[id].pos)
 			}
 		}
@@ -93,7 +93,7 @@ func (w *World[S]) Validate() error {
 		if c == nil {
 			continue
 		}
-		if got := len(w.bondSide(c.nodes[0], len(c.nodes))); got != len(c.nodes) {
+		if got := w.bondSide(c.nodes[0]); got != len(c.nodes) {
 			return fmt.Errorf("slot %d not bond-connected: %d of %d", c.slot, got, len(c.nodes))
 		}
 	}
@@ -109,7 +109,7 @@ func (w *World[S]) Validate() error {
 				if w.nodes[id].bondedTo[p] >= 0 {
 					continue
 				}
-				other, ok := c.cells[w.facingCell(id, p)]
+				other, ok := c.cells.get(w.facingCell(id, p))
 				if !ok {
 					continue
 				}
@@ -138,7 +138,7 @@ func (w *World[S]) Validate() error {
 		want := make(map[PortRef]bool)
 		for _, id := range c.nodes {
 			for _, p := range w.ports {
-				if _, occupied := c.cells[w.facingCell(id, p)]; !occupied {
+				if !c.cells.has(w.facingCell(id, p)) {
 					want[PortRef{Node: id, Port: p}] = true
 				}
 			}

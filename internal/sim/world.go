@@ -51,8 +51,8 @@ type nodeData[S any] struct {
 type component struct {
 	slot  int
 	nodes []int
-	cells map[grid.Pos]int // occupied cell -> node id
-	open  *wrand.Set[PortRef]
+	cells cellTable // occupied cell -> node id
+	open  wrand.Set[PortRef]
 }
 
 // Options configures a World.
@@ -156,6 +156,11 @@ type World[S comparable] struct {
 	rotsMapping [grid.NumDirs][grid.NumDirs][]grid.Rot
 	// rotBuf is the reusable scratch slice of feasibleRotations.
 	rotBuf []grid.Rot
+	// mark[id] == epoch marks node id in the current walk of bondSide, or
+	// as part of merge's incoming body; queue is bondSide's scratch.
+	mark  []uint32
+	epoch uint32
+	queue []int
 
 	steps, effective, merges, splits int64
 	skipped                          int64 // steps jumped over, never executed
@@ -183,7 +188,7 @@ type World[S comparable] struct {
 }
 
 // New builds a world of n free nodes, each in its protocol-defined initial
-// state.
+// state. n must be below 2^21.
 func New[S comparable](n int, proto Protocol[S], opts Options) *World[S] {
 	w := newEmpty(n, proto, opts)
 	for id := 0; id < n; id++ {
@@ -196,6 +201,9 @@ func newEmpty[S comparable](n int, proto Protocol[S], opts Options) *World[S] {
 	opts = opts.withDefaults()
 	if opts.Dim != 2 && opts.Dim != 3 {
 		panic(fmt.Sprintf("sim: invalid dimension %d", opts.Dim))
+	}
+	if n < 0 || n >= maxNodes {
+		panic(fmt.Sprintf("sim: population %d out of range [0,%d)", n, maxNodes))
 	}
 	w := &World[S]{
 		n:      n,
@@ -235,7 +243,8 @@ func (w *World[S]) SetHaltWhen(pred func(*World[S]) bool) {
 // keeps its draw without a profile, byte for byte. The geometric engine
 // supports the uniform, clustered and adversarial-delay policies plus the
 // full fault model; the weighted policy has no port-level meaning here
-// and is rejected by normalization.
+// and is rejected by normalization. Arrivals stop once the world would
+// reach 2^21 node ids, the engine's limit (see cellKey).
 func (w *World[S]) ApplyProfile(p sched.Profile) error {
 	np, err := p.Normalize(sched.EngineSim, w.n)
 	if err != nil {
@@ -314,6 +323,9 @@ func (w *World[S]) applyFaults() {
 		}
 		switch ev {
 		case sched.EvArrive:
+			if len(w.nodes)+1 >= maxNodes {
+				continue // dropped at the node limit
+			}
 			id := w.agents.ArriveOne()
 			w.nodes = append(w.nodes, nodeData[S]{})
 			w.addFreeNode(id, w.proto.InitialState(id, w.n))
@@ -351,11 +363,15 @@ func (w *World[S]) addFreeNode(id int, state S) {
 	}
 	c := w.newComponent()
 	c.nodes = append(c.nodes, id)
-	c.cells[grid.Pos{}] = id
+	c.cells.add(grid.Pos{}, id)
 	nd.comp = c.slot
-	for _, p := range w.ports {
-		c.open.Add(PortRef{Node: id, Port: p})
+	// Every port is open, in port order: the order Add would give, in one
+	// allocation.
+	var open [grid.NumDirs]PortRef
+	for i, p := range w.ports {
+		open[i] = PortRef{Node: id, Port: p}
 	}
+	c.open.Replace(open[:len(w.ports)])
 	w.syncWeight(c)
 }
 
@@ -368,11 +384,7 @@ func (w *World[S]) newComponent() *component {
 		slot = len(w.comps)
 		w.comps = append(w.comps, nil)
 	}
-	c := &component{
-		slot:  slot,
-		cells: make(map[grid.Pos]int),
-		open:  wrand.NewSet[PortRef](),
-	}
+	c := &component{slot: slot}
 	w.comps[slot] = c
 	return c
 }
@@ -418,7 +430,7 @@ func (w *World[S]) facingCell(id int, p grid.Dir) grid.Pos {
 func (w *World[S]) recomputeOpen(c *component, id int) {
 	for _, p := range w.ports {
 		ref := PortRef{Node: id, Port: p}
-		if _, occupied := c.cells[w.facingCell(id, p)]; occupied {
+		if c.cells.has(w.facingCell(id, p)) {
 			c.open.Remove(ref)
 		} else {
 			c.open.Add(ref)
@@ -510,8 +522,8 @@ func (w *World[S]) ComponentShape(slot int) *grid.Shape {
 	if c == nil {
 		return s
 	}
-	for p := range c.cells {
-		s.Add(p)
+	for _, id := range c.nodes {
+		s.Add(w.nodes[id].pos)
 	}
 	for _, id := range c.nodes {
 		nd := &w.nodes[id]

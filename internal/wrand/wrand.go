@@ -3,10 +3,11 @@
 // the O(log n) Fenwick tree behind the scheduler policies of
 // internal/sched, and the O(1) Alias sampler with amortized incremental
 // updates behind the urn engine's pair draws (its tests use Fenwick as
-// the oracle) — and an indexable set with O(1)
-// insert/remove/uniform-sample. The sim engine draws its components from
-// a ticket table of its own (internal/sim): its weights change only when
-// components do, so an O(1) pick beats the descent.
+// the oracle) — and an indexable set with O(1) insert/remove/uniform-
+// sample, which scans instead of indexing while it is small. The sim
+// engine draws its components from a ticket table of its own
+// (internal/sim): its weights change only when components do, so an O(1)
+// pick beats the descent.
 //
 // All randomness flows through a caller-supplied source (any Rand — the
 // engines use the serializable *RNG) so that entire simulations are
@@ -139,49 +140,91 @@ func (f *Fenwick) Sample(r Rand) (int, bool) {
 	return idx, true // idx is 0-based because we counted full subtrees
 }
 
-// Set is an indexable set of comparable elements supporting O(1) Add,
-// Remove, membership and uniform sampling. The zero value is unusable; call
-// NewSet.
+// Set is an indexable set of comparable elements supporting Add, Remove,
+// membership and uniform sampling. While it holds at most smallSet
+// elements it keeps no index and scans its items, so a small set (a lone
+// node's open ports) allocates no map; the first time it grows past that
+// it indexes its items in a map, O(1) per operation from then on. Either
+// way the item order, which Sample draws by, is the same function of the
+// operation history. The zero value is an empty set ready to use.
 type Set[T comparable] struct {
 	items []T
-	index map[T]int
+	index map[T]int // nil until the set first holds more than smallSet items
 }
+
+// smallSet is the size up to which a Set scans instead of indexing.
+const smallSet = 8
 
 // NewSet returns an empty set.
 func NewSet[T comparable]() *Set[T] {
-	return &Set[T]{index: make(map[T]int)}
+	return &Set[T]{}
 }
 
 // Len returns the number of elements.
 func (s *Set[T]) Len() int { return len(s.items) }
 
-// Has reports membership.
-func (s *Set[T]) Has(v T) bool {
-	_, ok := s.index[v]
-	return ok
+// find returns v's position in items, or -1.
+func (s *Set[T]) find(v T) int {
+	if s.index != nil {
+		if i, ok := s.index[v]; ok {
+			return i
+		}
+		return -1
+	}
+	for i, x := range s.items {
+		if x == v {
+			return i
+		}
+	}
+	return -1
 }
+
+// Has reports membership.
+func (s *Set[T]) Has(v T) bool { return s.find(v) >= 0 }
 
 // Add inserts v; it is a no-op if v is already present.
 func (s *Set[T]) Add(v T) {
-	if _, ok := s.index[v]; ok {
+	if s.find(v) >= 0 {
 		return
 	}
-	s.index[v] = len(s.items)
 	s.items = append(s.items, v)
+	switch {
+	case s.index != nil:
+		s.index[v] = len(s.items) - 1
+	case len(s.items) > smallSet:
+		s.reindex()
+	}
+}
+
+// reindex builds the index over items, panicking on a duplicate.
+func (s *Set[T]) reindex() {
+	if s.index == nil {
+		s.index = make(map[T]int, len(s.items))
+	} else {
+		clear(s.index)
+	}
+	for i, v := range s.items {
+		if _, dup := s.index[v]; dup {
+			panic(fmt.Sprintf("wrand: Replace with duplicate element %v", v))
+		}
+		s.index[v] = i
+	}
 }
 
 // Remove deletes v using swap-with-last; it is a no-op if absent.
 func (s *Set[T]) Remove(v T) {
-	i, ok := s.index[v]
-	if !ok {
+	i := s.find(v)
+	if i < 0 {
 		return
 	}
 	last := len(s.items) - 1
 	moved := s.items[last]
 	s.items[i] = moved
-	s.index[moved] = i
 	s.items = s.items[:last]
-	delete(s.index, v)
+	if s.index != nil {
+		s.index[moved] = i
+		delete(s.index, v)
+	}
 }
 
 // Sample returns a uniformly random element; it reports false when empty.
@@ -209,11 +252,15 @@ func (s *Set[T]) Clear() {
 // on a duplicate element (a snapshot carrying one is corrupt).
 func (s *Set[T]) Replace(items []T) {
 	s.items = append(s.items[:0], items...)
-	clear(s.index)
+	if s.index != nil || len(s.items) > smallSet {
+		s.reindex()
+		return
+	}
 	for i, v := range s.items {
-		if _, dup := s.index[v]; dup {
-			panic(fmt.Sprintf("wrand: Replace with duplicate element %v", v))
+		for _, u := range s.items[:i] {
+			if u == v {
+				panic(fmt.Sprintf("wrand: Replace with duplicate element %v", v))
+			}
 		}
-		s.index[v] = i
 	}
 }

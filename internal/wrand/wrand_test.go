@@ -3,6 +3,7 @@ package wrand
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -324,6 +325,73 @@ func TestSetChurnProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// indexedSet is the reference of TestSetMatchesIndexedReference: a set
+// that always indexes its items in a map, removing by swap-with-last.
+type indexedSet struct {
+	items []int
+	index map[int]int
+}
+
+func (s *indexedSet) add(v int) {
+	if _, ok := s.index[v]; !ok {
+		s.index[v] = len(s.items)
+		s.items = append(s.items, v)
+	}
+}
+
+func (s *indexedSet) remove(v int) {
+	i, ok := s.index[v]
+	if !ok {
+		return
+	}
+	last := len(s.items) - 1
+	s.items[i] = s.items[last]
+	s.index[s.items[i]] = i
+	s.items = s.items[:last]
+	delete(s.index, v)
+}
+
+// TestSetMatchesIndexedReference checks that a Set keeps exactly the item
+// order of an always-indexed set, the order Sample draws by, through
+// random adds, removes, clears and replaces that take it past smallSet
+// and back, scanning and indexed alike.
+func TestSetMatchesIndexedReference(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 50; trial++ {
+		var s Set[int]
+		ref := &indexedSet{index: map[int]int{}}
+		domain := 4 + r.Intn(4*smallSet)
+		for op := 0; op < 2000; op++ {
+			v := r.Intn(domain)
+			switch k := r.Intn(100); {
+			case k < 50:
+				s.Add(v)
+				ref.add(v)
+			case k < 96:
+				s.Remove(v)
+				ref.remove(v)
+			case k < 98:
+				s.Clear()
+				ref.items, ref.index = ref.items[:0], map[int]int{}
+			default:
+				items := r.Perm(domain)[:r.Intn(domain)]
+				s.Replace(items)
+				ref.items, ref.index = nil, map[int]int{}
+				for _, x := range items {
+					ref.add(x)
+				}
+			}
+			if !slices.Equal(s.Items(), ref.items) {
+				t.Fatalf("trial %d op %d: items %v, reference %v", trial, op, s.Items(), ref.items)
+			}
+			probe := r.Intn(domain)
+			if _, want := ref.index[probe]; s.Has(probe) != want {
+				t.Fatalf("trial %d op %d: Has(%d) = %v", trial, op, probe, !want)
+			}
+		}
 	}
 }
 
